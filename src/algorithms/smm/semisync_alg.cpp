@@ -55,7 +55,12 @@ class RoundBasedSmm final : public SmmPortAlgorithm {
   }
 
   void on_tree_snapshot(const Knowledge& snapshot) override {
-    know_.merge(snapshot);
+    // know_ only grows, so a snapshot whose stamp was already merged is
+    // contained in it and re-joining would be a no-op (Knowledge::stamp()).
+    if (snapshot.stamp() != merged_stamp_) {
+      know_.merge(snapshot);
+      merged_stamp_ = snapshot.stamp();
+    }
     if (completed_rounds_ < s_ &&
         know_.all_have_session(n_, completed_rounds_, self_))
       pending_port_ = true;
@@ -70,6 +75,7 @@ class RoundBasedSmm final : public SmmPortAlgorithm {
   std::int64_t completed_rounds_ = 0;
   bool pending_port_ = true;  // round 1 needs no waiting
   Knowledge know_;
+  std::uint64_t merged_stamp_ = 0;  // stamp 0 is the empty value
   bool idle_ = false;
 };
 

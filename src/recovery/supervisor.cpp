@@ -125,11 +125,6 @@ std::string Supervisor::unique_stage(const std::string& name) {
   return use == 1 ? clean : clean + "#" + std::to_string(use);
 }
 
-void Supervisor::note_append() {
-  const std::int64_t n = appends_.fetch_add(1) + 1;
-  if (stop_after_ >= 0 && n >= stop_after_) request_stop();
-}
-
 std::int64_t retry_backoff_ms(const TaskPolicy& policy,
                               std::uint64_t config_digest, std::size_t slot,
                               std::int32_t attempt) {
@@ -190,18 +185,28 @@ std::string Supervisor::run_attempts(
   return encode_task_failure(failure);
 }
 
-void Supervisor::journal_payload(const std::string& stage, std::size_t slot,
+bool Supervisor::journal_payload(const std::string& stage, std::size_t slot,
                                  const std::string& payload) {
-  if (!journal_ || journal_broken_) return;
-  if (journal_->append(stage, slot, payload)) {
-    note_append();
-  } else {
+  if (!journal_ || journal_broken_) return true;
+  // The stop-after cap is hard: each append first claims a ticket, and a
+  // ticket past the cap is refused before anything is written, as if the
+  // process had died right there. Tasks still in flight on other threads
+  // therefore never grow the journal past the kill point at any --jobs.
+  const std::int64_t ticket = appends_.fetch_add(1) + 1;
+  if (stop_after_ >= 0 && ticket > stop_after_) {
+    request_stop();
+    return false;
+  }
+  if (!journal_->append(stage, slot, payload)) {
     journal_broken_ = true;
     std::fprintf(stderr,
                  "warning: journal append failed at %s; "
                  "continuing without checkpoints\n",
                  journal_->path().c_str());
+    return true;
   }
+  if (stop_after_ >= 0 && ticket >= stop_after_) request_stop();
+  return true;
 }
 
 void Supervisor::for_each_slot(
@@ -247,8 +252,8 @@ void Supervisor::for_each_slot(
         const std::size_t slot = pending[k];
         if (interrupted()) return;
         std::string payload = run_attempts(slot, compute);
-        journal_payload(stage, slot, payload);
-        payloads[slot].emplace(std::move(payload));
+        if (journal_payload(stage, slot, payload))
+          payloads[slot].emplace(std::move(payload));
       },
       jobs);
 
@@ -369,8 +374,8 @@ void Supervisor::shard_for_each_slot(
           const std::size_t slot = pending[k];
           if (interrupted()) return;
           std::string payload = run_attempts(slot, compute);
-          journal_payload(stage, slot, payload);
-          payloads[slot].emplace(std::move(payload));
+          if (journal_payload(stage, slot, payload))
+            payloads[slot].emplace(std::move(payload));
         },
         jobs);
     shard_->stop_heartbeat();

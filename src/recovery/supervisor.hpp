@@ -32,9 +32,12 @@
 // keeping resumed and uninterrupted runs byte-identical even when they
 // fire.
 //
-// Env knobs: SESP_STOP_AFTER=N requests a stop after N journal appends —
-// the deterministic interruption point the kill-and-resume tests and the CI
-// smoke job use (a fault-injection hook for the recovery layer itself).
+// Env knobs: SESP_STOP_AFTER=N stops the run after exactly N journal
+// appends — append N+1 is refused and its result dropped, as if the process
+// had been killed there, so the journal at the kill point depends on N
+// alone, at any job count. It is the deterministic interruption point the
+// kill-and-resume tests, the CI smoke job and sesp_serve's --chaos use (a
+// fault-injection hook for the recovery layer itself).
 
 #include <atomic>
 #include <cstdint>
@@ -128,8 +131,9 @@ class Supervisor {
   void request_stop() noexcept { stop_.store(true); }
   bool interrupted() const noexcept;
 
-  // Deterministic interruption for tests: stop after `n` journal appends
-  // (the SESP_STOP_AFTER env knob, read at construction; < 0 disables).
+  // Deterministic interruption for tests: stop after exactly `n` journal
+  // appends, refusing any later one (the SESP_STOP_AFTER env knob, read at
+  // construction; < 0 disables).
   void set_stop_after(std::int64_t n) noexcept { stop_after_ = n; }
 
   // Sharded mode (docs/robustness.md "Sharded execution"): when a
@@ -160,7 +164,6 @@ class Supervisor {
   std::string run_attempts(
       std::size_t slot,
       const std::function<std::string(std::size_t)>& compute);
-  void note_append();
   // The leased-range worker loop behind for_each_slot() in shard mode;
   // `stage` is already uniqued.
   void shard_for_each_slot(
@@ -169,8 +172,10 @@ class Supervisor {
       const std::function<void(std::size_t, const std::string&)>& apply,
       int jobs);
   // Journals one computed payload, degrading to journal-less execution on
-  // a write error (shared by the plain and shard compute phases).
-  void journal_payload(const std::string& stage, std::size_t slot,
+  // a write error (shared by the plain and shard compute phases). Returns
+  // false when the stop-after cap refuses the append: the caller drops the
+  // payload, and the slot stays pending for the resume.
+  bool journal_payload(const std::string& stage, std::size_t slot,
                        const std::string& payload);
 
   std::unique_ptr<RunJournal> journal_;

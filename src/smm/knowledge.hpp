@@ -8,21 +8,44 @@
 // join, which is what makes the tree-relay gossip of Section 3 correct
 // regardless of interleaving.
 //
-// Representation (docs/performance.md "Data layout"): a flat vector of
-// (process, fact) entries kept sorted by process id — no per-node heap
-// allocation. Process counts are tiny (ports + relays), so lookups are a
-// short contiguous scan, merging is a linear two-pointer join, and copying
-// a value (the P2P simulator copies one per in-flight message) is a single
-// buffer copy. Iteration order is ascending process id — exactly the order
-// the previous std::map representation produced — so digest() and
-// to_string() are byte-stable across the layout change; the golden corpus
-// pins this.
+// Representation (docs/performance.md "SMM knowledge"): a flat vector of
+// entries kept sorted by process id — no per-node heap allocation, and a
+// copy (the P2P simulator makes one per in-flight message) is one buffer
+// copy. Iteration order is ascending process id, exactly the order the
+// original std::map representation produced, so digest() and to_string()
+// are byte-stable; the golden corpus and the s=n=40 trace pins hold this.
+//
+// Everything is incremental, so a gossip step costs what it changed:
+//
+//  * Prefix-state digest. Each entry carries the FNV-1a state after folding
+//    it and every entry before it. A mutation only lowers a "clean prefix"
+//    mark to the first entry it changed; digest() resumes from the state
+//    just before that mark. The state lives inside the entry, so copies
+//    gain no extra allocation.
+//  * Zero-byte fold. digest() is byte-wise FNV-1a over each field's 8
+//    little-endian bytes. XOR with a zero byte is the identity
+//    ((h ^ 0) * P == h * P), so a field's run of k zero high bytes folds
+//    into one multiply by P^k (mod 2^64, multiplication is associative).
+//    Small non-negative fields — almost all of them — cost one or two byte
+//    steps plus that multiply instead of eight byte steps; the result is
+//    bit-identical to the plain byte loop.
+//  * Aligned join. merge() is one two-pointer pass over both sorted runs.
+//    When both values hold the same run of ids (the steady state once
+//    every port is known) the pointers advance in lockstep, so the pass is
+//    a positional join with no id search; new ids are counted and inserted
+//    afterwards by an in-place backward merge, with no scratch buffer. The
+//    first changed index feeds the clean-prefix mark above.
+//  * Snapshot stamp skip. stamp() names a value's content, so a caller can
+//    skip a join it has already made: the relay memo in smm_simulator.cpp,
+//    and the round-based port algorithm, which re-joins a tree snapshot
+//    only when its stamp differs from the last one it merged.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "model/ids.hpp"
+#include "util/digest.hpp"
 
 namespace sesp {
 
@@ -64,52 +87,61 @@ class Knowledge {
 
   // Deterministic digest (FNV-1a over the sorted entries); used to compare
   // variable values across reordered computations in the lower-bound
-  // machinery. Memoized: record() and merge() only invalidate the cache
-  // when they actually change a fact, so the simulators' before/after
-  // digests of a saturated variable are O(1) (docs/performance.md).
-  std::uint64_t digest() const;
+  // machinery. Incremental: only entries at or after the first one changed
+  // since the last call are folded, so the simulators' before/after digests
+  // of a saturated variable are O(1) (and inline).
+  std::uint64_t digest() const {
+    if (clean_ < facts_.size()) return fold_dirty();
+    return facts_.empty() ? util::kFnv1aOffsetBasis : facts_.back().fnv;
+  }
 
   // Content stamp: equal stamps imply equal contents. Every mutation that
   // changes a fact restamps with a fresh thread-unique nonzero value;
   // copies carry the stamp with the content; stamp 0 is exactly the empty
   // value. A caller that remembers the stamps of two values after joining
   // them can prove a later join of the same (unchanged) pair is a no-op
-  // and skip it — the SMM relay gossip loop does this once its subtree
-  // saturates (docs/performance.md "Verifier hot path").
+  // and skip it — the SMM relay gossip loop and the round-based port
+  // algorithm do this once knowledge saturates (docs/performance.md).
   std::uint64_t stamp() const noexcept { return stamp_; }
 
   std::string to_string() const;
 
-  friend bool operator==(const Knowledge& a, const Knowledge& b) {
-    return a.facts_ == b.facts_;
-  }
+  friend bool operator==(const Knowledge& a, const Knowledge& b);
 
  private:
+  // One fact, flattened so the digest prefix state fits in 32 bytes.
   struct Entry {
+    std::int64_t steps;
+    std::int64_t session;
+    // FNV-1a state after this entry; meaningful below clean_ only.
+    mutable std::uint64_t fnv;
     ProcessId process;
-    PortInfo info;
+    bool done;
 
-    friend bool operator==(const Entry&, const Entry&) = default;
+    PortInfo info() const { return PortInfo{steps, session, done}; }
   };
 
   const Entry* find(ProcessId p) const noexcept;
+
+  // digest()'s slow path: folds entries [clean_, size) and marks them clean.
+  std::uint64_t fold_dirty() const;
 
   // Fresh thread-unique nonzero stamp (see stamp()).
   static std::uint64_t next_stamp() noexcept {
     thread_local std::uint64_t counter = 0;
     return ++counter;
   }
-  void touch() noexcept {
+  // Entries from index i on changed (content or position).
+  void changed_from(std::size_t i) noexcept {
     stamp_ = next_stamp();
-    digest_valid_ = false;
+    if (i < clean_) clean_ = i;
   }
 
-  // Sorted by process id, unique. Sortedness makes default equality
-  // coincide with map equality.
+  // Sorted by process id, unique.
   std::vector<Entry> facts_;
   std::uint64_t stamp_ = 0;
-  mutable std::uint64_t cached_digest_ = 0;
-  mutable bool digest_valid_ = false;
+  // Entries [0, clean_) hold their up-to-date prefix digest state.
+  mutable std::size_t clean_ = 0;
 };
 
 }  // namespace sesp

@@ -461,6 +461,42 @@ TEST(SupervisorTest, StopAfterSkipsPendingSlots) {
   std::remove(path.c_str());
 }
 
+// SESP_STOP_AFTER=N is a hard cap: however many tasks are in flight when
+// the N-th append lands, append N+1 is refused and its result dropped, so
+// the journal holds exactly N records and exactly N slots apply — at any
+// job count, on any host.
+TEST(SupervisorTest, StopAfterIsAHardCapAtAnyJobCount) {
+  const std::string path = temp_path("supervisor_cap.journal");
+  for (const int jobs : {1, 2, 4, 8}) {
+    for (const std::int64_t cap : {0, 1, 3, 5}) {
+      std::int64_t applied = 0;
+      {
+        recovery::Supervisor sup(fresh_journal(path, 4), {});
+        sup.set_stop_after(cap);
+        sup.for_each_slot(
+            "stage", 32,
+            [](std::size_t i) {
+              // Long enough that every worker is mid-task when the cap
+              // trips.
+              std::this_thread::sleep_for(std::chrono::milliseconds(2));
+              return std::to_string(i);
+            },
+            [&](std::size_t, const std::string&) { ++applied; }, jobs);
+        EXPECT_TRUE(sup.interrupted());
+        EXPECT_EQ(sup.stats().slots_executed, cap);
+        EXPECT_EQ(sup.stats().slots_skipped, 32 - cap);
+      }
+      EXPECT_EQ(applied, cap) << "jobs=" << jobs << " cap=" << cap;
+      const recovery::JournalSnapshot snap =
+          recovery::read_journal_snapshot(path);
+      ASSERT_TRUE(snap.ok) << snap.error;
+      EXPECT_EQ(static_cast<std::int64_t>(snap.records.size()), cap)
+          << "jobs=" << jobs << " cap=" << cap;
+    }
+  }
+  std::remove(path.c_str());
+}
+
 // --- kill-and-resume determinism for every sweep driver ---------------------
 //
 // run_to_completion() hard-interrupts the driver after `stop_after`

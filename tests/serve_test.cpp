@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "obs/json.hpp"
+#include "recovery/journal.hpp"
 #include "serve/admission.hpp"
 #include "serve/cache.hpp"
 #include "serve/protocol.hpp"
@@ -771,6 +772,17 @@ TEST(ServerTest, ChaosInterruptThenResumeIsByteIdentical) {
     server.stop();
     EXPECT_TRUE(server.interrupted());  // the tool's exit-75 signal
     EXPECT_GE(server.counters().sweeps_interrupted.load(), 1);
+  }
+  // The chaos cap is hard: exactly one slot reached the journal, however
+  // many of the sweep's tasks were in flight on the pool when it tripped.
+  {
+    const recovery::JournalSnapshot snap = recovery::read_journal_snapshot(
+        (dir / ("sweep-" + ticket_hex + ".journal")).string());
+    ASSERT_TRUE(snap.ok) << snap.error;
+    std::size_t slots = 0;
+    for (const recovery::JournalRecord& r : snap.records)
+      if (r.stage.rfind("serve.", 0) != 0) ++slots;
+    EXPECT_EQ(slots, 1u);
   }
 
   // Resume: a fresh server re-enqueues the journaled sweep and finishes it;
