@@ -29,7 +29,16 @@ MpmSimulator::MpmSimulator(const ProblemSpec& spec,
       faults_(faults),
       observer_(observer) {}
 
-MpmRunResult MpmSimulator::run(const MpmRunLimits& limits) {
+MpmRunResult MpmSimulator::run(const MpmRunLimits& limits,
+                               Recording recording) {
+  return recording == Recording::kTrace
+             ? run_as<Recording::kTrace>(limits)
+             : run_as<Recording::kVerdictOnly>(limits);
+}
+
+template <Recording kMode>
+MpmRunResult MpmSimulator::run_as(const MpmRunLimits& limits) {
+  constexpr bool kRecord = kMode == Recording::kTrace;
   const std::int32_t n = spec_.n;
   obs::Observer* const o = obs::resolve(observer_);
   obs::Profiler* const prof = o ? o->profiler : nullptr;
@@ -43,21 +52,34 @@ MpmRunResult MpmSimulator::run(const MpmRunLimits& limits) {
   MpmRunResult result{
       TimedComputation(Substrate::kMessagePassing, std::max(n, 0),
                        std::max(n, 0)),
-      false, false, 0, 0, std::nullopt, {}};
+      false, false, 0, 0, std::nullopt, {}, std::nullopt};
+  // A verdict-only run feeds this monitor every step the trace would have
+  // recorded and hands back only its verdict (seal()).
+  std::optional<VerdictMonitor> online;
+  if constexpr (!kRecord)
+    online.emplace(Substrate::kMessagePassing, std::max(n, 0), std::max(n, 0),
+                   constraints_);
+  VerdictMonitor* const monitor = online ? &*online : nullptr;
+  const auto seal = [&] {
+    if (monitor) result.verdict = monitor->verdict(spec_.s);
+  };
   if (n <= 0) {
     SimError err;
     err.code = SimErrorCode::kInvalidSpec;
     err.detail = "MPM needs n >= 1 port processes, got " + std::to_string(n);
     result.error = std::move(err);
     obs::observe_error(o, *result.error);
+    seal();
     return result;
   }
   TimedComputation& trace = result.trace;
+  // Index of the next step; the trace's length when recording.
+  std::size_t next_step = 0;
   // Pre-size the logs to the step budget: a budget-bounded run otherwise
   // reallocates the step log ~18 times, and the final doublings memcpy tens
   // of megabytes (docs/performance.md "Data layout"). Capped so unbounded
   // budgets stay lazy; untouched reserved pages cost only address space.
-  if (limits.max_steps > 0) {
+  if (kRecord && limits.max_steps > 0) {
     const auto budget = static_cast<std::size_t>(
         std::min<std::int64_t>(limits.max_steps, std::int64_t{1} << 17));
     trace.reserve(3 * budget, 3 * budget);
@@ -82,7 +104,31 @@ MpmRunResult MpmSimulator::run(const MpmRunLimits& limits) {
   // maintains no separate in-transit structure (docs/performance.md "Data
   // layout"). Per-process vectors are cleared, never destroyed: capacity is
   // reused across the whole run.
+  //
+  // A verdict-only run keeps no message log: a message in flight is one
+  // slot of `in_flight` (payload, send time) and the queue and buf_p carry
+  // slot indices in place of message ids. A step frees the slots it
+  // drains, so the pool stays as small as the peak number of undelivered
+  // and unreceived messages. `next_id` keeps the hooks' message ids
+  // sequential, exactly as the log would number them.
   std::vector<std::vector<MsgId>> pending(static_cast<std::size_t>(n));
+  struct InFlight {
+    MpmMessage payload;
+    Time sent;
+  };
+  std::vector<InFlight> in_flight;
+  std::vector<MsgId> free_slots;
+  MsgId next_id = 0;
+  const auto park = [&](const MpmMessage& payload, const Time& sent) {
+    if (free_slots.empty()) {
+      in_flight.push_back(InFlight{payload, sent});
+      return static_cast<MsgId>(in_flight.size() - 1);
+    }
+    const MsgId slot = free_slots.back();
+    free_slots.pop_back();
+    in_flight[static_cast<std::size_t>(slot)] = InFlight{payload, sent};
+    return slot;
+  };
   std::int32_t non_idle = n;
   // Per-step receive scratch, reused across the whole run so the steady
   // state allocates nothing.
@@ -114,7 +160,7 @@ MpmRunResult MpmSimulator::run(const MpmRunLimits& limits) {
       err.detail = "scheduled t=" + t.to_string() + " before t=" +
                    floor.to_string();
       err.process = p;
-      err.step_index = static_cast<std::int64_t>(trace.steps().size());
+      err.step_index = static_cast<std::int64_t>(next_step);
       err.time = floor;
       result.error = std::move(err);
       sched_timer.end();
@@ -128,6 +174,7 @@ MpmRunResult MpmSimulator::run(const MpmRunLimits& limits) {
   for (ProcessId p = 0; p < n; ++p)
     if (!schedule_step(p, std::nullopt, 0)) {
       obs::observe_error(o, *result.error);
+      seal();
       return result;
     }
 
@@ -153,7 +200,7 @@ MpmRunResult MpmSimulator::run(const MpmRunLimits& limits) {
                                std::to_string(limits.max_steps) + " exhausted"
                          : "model-time budget " + limits.max_time.to_string() +
                                " exhausted";
-      err.step_index = static_cast<std::int64_t>(trace.steps().size());
+      err.step_index = static_cast<std::int64_t>(next_step);
       err.time = ev.time;
       result.error = std::move(err);
       return true;
@@ -165,7 +212,7 @@ MpmRunResult MpmSimulator::run(const MpmRunLimits& limits) {
         err.code = SimErrorCode::kNoProgress;
         err.detail = "time pinned at t=" + ev.time.to_string() + " for " +
                      std::to_string(stagnant_events) + " events";
-        err.step_index = static_cast<std::int64_t>(trace.steps().size());
+        err.step_index = static_cast<std::int64_t>(next_step);
         err.time = ev.time;
         result.error = std::move(err);
         return true;
@@ -190,21 +237,25 @@ MpmRunResult MpmSimulator::run(const MpmRunLimits& limits) {
           stop = true;
           break;
         }
-        StepRecord& st = trace.append_slot();
-        st.kind = StepKind::kDeliver;
-        st.process = kNetworkProcess;
-        st.time = ev.time;
-        st.delivered = ev.message;
-        const std::size_t index = trace.steps().size() - 1;
-        MessageRecord& rec =
-            trace.mutable_messages()[static_cast<std::size_t>(ev.message)];
-        rec.deliver_step = index;
-        pending[static_cast<std::size_t>(rec.recipient)].push_back(
-            ev.message);
+        const std::size_t index = next_step++;
+        if constexpr (kRecord) {
+          StepRecord& st = trace.append_slot();
+          st.kind = StepKind::kDeliver;
+          st.process = kNetworkProcess;
+          st.time = ev.time;
+          st.delivered = ev.message;
+          trace.mutable_messages()[static_cast<std::size_t>(ev.message)]
+              .deliver_step = index;
+        } else {
+          monitor->deliver(
+              ev.time, in_flight[static_cast<std::size_t>(ev.message)].sent);
+        }
+        // The queue's recipient is the message's (push_deliver below).
+        auto& buf = pending[static_cast<std::size_t>(ev.process)];
+        buf.push_back(ev.message);
         if (c_delivered) {
           c_delivered->inc();
-          g_pending_depth->set(static_cast<std::int64_t>(
-              pending[static_cast<std::size_t>(rec.recipient)].size()));
+          g_pending_depth->set(static_cast<std::int64_t>(buf.size()));
         }
       } while (!queue.empty() &&
                queue.peek_lane() == CalendarQueue::Lane::kDeliver);
@@ -238,41 +289,55 @@ MpmRunResult MpmSimulator::run(const MpmRunLimits& limits) {
       // capacity, so steady-state steps do no heap traffic).
       received.clear();
       for (const MsgId id : pending[pi]) {
-        const MessageRecord& m =
-            trace.messages()[static_cast<std::size_t>(id)];
-        received.push_back(MpmMessage{m.sender, m.session, m.steps, m.done});
+        if constexpr (kRecord) {
+          const MessageRecord& m =
+              trace.messages()[static_cast<std::size_t>(id)];
+          received.push_back(
+              MpmMessage{m.sender, m.session, m.steps, m.done});
+        } else {
+          received.push_back(in_flight[static_cast<std::size_t>(id)].payload);
+          free_slots.push_back(id);
+        }
       }
       const MpmStepResult action = algs[pi]->on_step(
           std::span<const MpmMessage>(received.data(), received.size()));
 
-      StepRecord& st = trace.append_slot();
-      st.kind = StepKind::kCompute;
-      st.process = p;
-      st.time = ev.time;
-      st.port = p;  // in the MPM every compute step of p involves buf_p
-      st.idle_after = action.idle;
-      const std::size_t step_index = trace.steps().size() - 1;
+      // In the MPM every compute step of p involves buf_p, its port.
+      const std::size_t step_index = next_step++;
+      if constexpr (kRecord) {
+        StepRecord& st = trace.append_slot();
+        st.kind = StepKind::kCompute;
+        st.process = p;
+        st.time = ev.time;
+        st.port = p;
+        st.idle_after = action.idle;
+        // Mark receipt of everything drained at this step.
+        for (const MsgId id : pending[pi])
+          trace.mutable_messages()[static_cast<std::size_t>(id)]
+              .receive_step = step_index;
+      } else {
+        monitor->compute(p, p, ev.time, action.idle);
+      }
       ++result.compute_steps;
       if (c_steps) c_steps->inc();
-
-      // Mark receipt of everything drained at this step.
-      for (const MsgId id : pending[pi])
-        trace.mutable_messages()[static_cast<std::size_t>(id)].receive_step =
-            step_index;
       pending[pi].clear();
 
       if (action.broadcast) {
+        const MpmMessage payload{p, action.message.session,
+                                 action.message.steps, action.message.done};
         for (ProcessId q = 0; q < n && !result.error; ++q) {
           MsgId id;
-          {
+          if constexpr (kRecord) {
             MessageRecord& rec = trace.append_message_slot();
             rec.sender = p;
             rec.recipient = q;
             rec.send_step = step_index;
-            rec.session = action.message.session;
-            rec.steps = action.message.steps;
-            rec.done = action.message.done;
+            rec.session = payload.session;
+            rec.steps = payload.steps;
+            rec.done = payload.done;
             id = rec.id;
+          } else {
+            id = next_id++;
           }
           ++result.messages_sent;
           if (c_sent) c_sent->inc();
@@ -289,16 +354,23 @@ MpmRunResult MpmSimulator::run(const MpmRunLimits& limits) {
 
           const Duration delay =
               delays_.delay(p, q, ev.time, id) + act.extra_delay;
-          queue.push_deliver(ev.time + delay, q, id);
+          queue.push_deliver(ev.time + delay, q,
+                             kRecord ? id : park(payload, ev.time));
 
           if (act.duplicate) {
             // The duplicate is a distinct trace message with the same
             // payload, delivered after an extra delay (copied before the
             // append so the source reference cannot dangle).
             obs::observe_fault(o, "duplicate", p, ev.time);
-            MessageRecord dup =
-                trace.messages()[static_cast<std::size_t>(id)];
-            const MsgId dup_id = trace.append_message(dup);
+            MsgId dup_id;
+            if constexpr (kRecord) {
+              MessageRecord dup =
+                  trace.messages()[static_cast<std::size_t>(id)];
+              dup_id = trace.append_message(dup);
+            } else {
+              ++next_id;
+              dup_id = park(payload, ev.time);
+            }
             queue.push_deliver(ev.time + delay + act.extra_delay, q, dup_id);
             ++result.messages_sent;
             if (c_sent) c_sent->inc();
@@ -333,6 +405,7 @@ MpmRunResult MpmSimulator::run(const MpmRunLimits& limits) {
          obs::arg_int("steps", result.compute_steps),
          obs::arg_int("messages", result.messages_sent),
          obs::arg_int("completed", result.completed ? 1 : 0)}));
+  seal();
   return result;
 }
 

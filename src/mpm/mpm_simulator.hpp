@@ -3,7 +3,8 @@
 // Event-driven executor of the message-passing model. The adversary (a
 // StepScheduler and a DelayStrategy) fixes the timed schedule; the simulator
 // runs the algorithm under it and records the full timed computation for the
-// counters / checkers.
+// counters / checkers — or, verdict-only, feeds them online and records
+// nothing.
 //
 // Tie-breaking at equal times is adversarial for upper bounds: compute steps
 // are ordered before delivery steps carrying the same timestamp, so a
@@ -35,6 +36,7 @@
 #include "model/timed_computation.hpp"
 #include "mpm/algorithm.hpp"
 #include "obs/observer.hpp"
+#include "session/verdict_monitor.hpp"
 #include "timing/constraints.hpp"
 
 namespace sesp {
@@ -50,6 +52,8 @@ struct MpmRunLimits {
 };
 
 struct MpmRunResult {
+  // The timed computation; empty (no steps, no messages) for a
+  // Recording::kVerdictOnly run.
   TimedComputation trace;
   bool completed = false;     // every port process idled or crash-stopped
   bool hit_limit = false;     // stopped by MpmRunLimits instead
@@ -60,6 +64,11 @@ struct MpmRunResult {
   std::optional<SimError> error;
   // Processes crash-stopped by fault injection, in crash order.
   std::vector<ProcessId> crashed;
+  // Recording::kVerdictOnly runs: the online verdict (VerdictMonitor::
+  // verdict), from every step the trace would have recorded. admissible is
+  // false, with no violation named, whenever the monitor could not prove
+  // admissibility alone.
+  std::optional<Verdict> verdict;
 };
 
 class MpmSimulator {
@@ -74,9 +83,19 @@ class MpmSimulator {
                DelayStrategy& delays, FaultInjector* faults = nullptr,
                obs::Observer* observer = nullptr);
 
-  MpmRunResult run(const MpmRunLimits& limits = MpmRunLimits{});
+  // Recording::kVerdictOnly builds no trace: every step goes to an online
+  // VerdictMonitor whose verdict the result carries, and in-flight messages
+  // live in a recycled slot pool rather than the message log. Every other
+  // observable — the run flags and counts, the SimError, fault-hook and
+  // delay-strategy calls with their sequential message ids, the observer's
+  // instruments — is identical to the default recording run.
+  MpmRunResult run(const MpmRunLimits& limits = MpmRunLimits{},
+                   Recording recording = Recording::kTrace);
 
  private:
+  template <Recording kMode>
+  MpmRunResult run_as(const MpmRunLimits& limits);
+
   ProblemSpec spec_;
   TimingConstraints constraints_;
   const MpmAlgorithmFactory& factory_;

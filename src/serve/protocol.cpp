@@ -1,7 +1,9 @@
 #include "serve/protocol.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "model/trace_io.hpp"
 #include "obs/json.hpp"
@@ -184,6 +186,18 @@ bool parse_request(std::string_view line, const ProtocolLimits& limits,
   if (!one_of(out->model,
               {"sync", "periodic", "semisync", "sporadic", "async"}))
     return fail(error, "unknown model \"" + out->model + "\"");
+  // Whatever the model itself demands (c1 > 0 for the periodic,
+  // semi-synchronous and sporadic models): the schedulers, algorithms and
+  // bound formulas behind every op that reads the constants assume a valid
+  // instance. With c1 <= c2 checked above, validity does not depend on the
+  // process count.
+  const bool timed = out->op == Op::kBound || out->op == Op::kRun ||
+                     out->op == Op::kReplay || out->op == Op::kSweep;
+  if (timed) {
+    if (const auto invalid =
+            request_constraints(*out, out->spec.n).validate())
+      return fail(error, "invalid timing constants: " + *invalid);
+  }
 
   switch (out->op) {
     case Op::kBound:
@@ -216,6 +230,26 @@ bool parse_request(std::string_view line, const ProtocolLimits& limits,
       break;
   }
   return true;
+}
+
+TimingConstraints request_constraints(const Request& r,
+                                      std::int32_t total_processes) {
+  if (r.model == "sync") return TimingConstraints::synchronous(r.c2, r.d2);
+  if (r.model == "periodic") {
+    std::vector<Duration> periods;
+    for (std::int32_t i = 0; i < total_processes; ++i) {
+      const Ratio frac = total_processes > 1
+                             ? Ratio(i, std::max(total_processes - 1, 1))
+                             : Ratio(0);
+      periods.push_back(r.c1 + (r.c2 - r.c1) * frac);
+    }
+    return TimingConstraints::periodic(periods, r.d2);
+  }
+  if (r.model == "semisync")
+    return TimingConstraints::semi_synchronous(r.c1, r.c2, r.d2);
+  if (r.model == "sporadic")
+    return TimingConstraints::sporadic(r.c1, r.d1, r.d2);
+  return TimingConstraints::asynchronous(r.c2, r.d2);
 }
 
 std::uint64_t request_digest(const Request& r) {

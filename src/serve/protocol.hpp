@@ -30,6 +30,7 @@
 #include <string_view>
 
 #include "model/ids.hpp"
+#include "timing/constraints.hpp"
 #include "util/ratio.hpp"
 
 namespace sesp::serve {
@@ -88,6 +89,12 @@ struct Request {
 // can still echo the id when it parsed (id 0 otherwise).
 bool parse_request(std::string_view line, const ProtocolLimits& limits,
                    Request* out, std::string* error);
+
+// The request's timing constraints exactly as sesp_cli builds them from the
+// same flags (the byte-identity of served and offline reports depends on
+// this mirroring); `total_processes` sizes the periodic period vector.
+TimingConstraints request_constraints(const Request& r,
+                                      std::int32_t total_processes);
 
 // Fingerprint of every result-affecting request field (never the id or the
 // deadline): the bound-cache key, the run-coalescing key, and the sweep

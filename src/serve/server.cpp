@@ -47,28 +47,6 @@ std::string errno_text(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
 
-// Timing constraints exactly as sesp_cli builds them — the sweep report's
-// byte-identity with the offline tool depends on this mirroring.
-TimingConstraints request_constraints(const Request& r,
-                                      std::int32_t total_processes) {
-  if (r.model == "sync") return TimingConstraints::synchronous(r.c2, r.d2);
-  if (r.model == "periodic") {
-    std::vector<Duration> periods;
-    for (std::int32_t i = 0; i < total_processes; ++i) {
-      const Ratio frac = total_processes > 1
-                             ? Ratio(i, std::max(total_processes - 1, 1))
-                             : Ratio(0);
-      periods.push_back(r.c1 + (r.c2 - r.c1) * frac);
-    }
-    return TimingConstraints::periodic(periods, r.d2);
-  }
-  if (r.model == "semisync")
-    return TimingConstraints::semi_synchronous(r.c1, r.c2, r.d2);
-  if (r.model == "sporadic")
-    return TimingConstraints::sporadic(r.c1, r.d1, r.d2);
-  return TimingConstraints::asynchronous(r.c2, r.d2);
-}
-
 std::unique_ptr<MpmAlgorithmFactory> make_mpm_factory(const std::string& m) {
   if (m == "sync") return std::make_unique<SyncMpmFactory>();
   if (m == "periodic") return std::make_unique<PeriodicMpmFactory>();

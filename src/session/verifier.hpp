@@ -1,41 +1,20 @@
 #pragma once
 
-// End-to-end verdict for one timed computation against the (s, n)-session
-// problem (Section 2.3): admissibility under the timing model, session
-// count, termination, and the running-time measures (real time, rounds, γ).
-
-#include <cstdint>
-#include <optional>
-#include <string>
+// End-to-end verdict for one recorded timed computation against the
+// (s, n)-session problem (Section 2.3): admissibility under the timing
+// model, session count, termination, and the running-time measures (real
+// time, rounds, γ). The Verdict type and its online monitor live in
+// session/verdict_monitor.hpp; verify() drives that monitor over the trace.
 
 #include "model/ids.hpp"
 #include "model/timed_computation.hpp"
 #include "obs/observer.hpp"
 #include "session/round_counter.hpp"
 #include "session/session_counter.hpp"
+#include "session/verdict_monitor.hpp"
 #include "timing/admissibility.hpp"
 
 namespace sesp {
-
-struct Verdict {
-  bool admissible = false;
-  std::string admissibility_violation;
-  // Exact first violating step (process, index, time, message) when the
-  // inadmissibility maps to a step — the detection half of the fault model.
-  std::optional<ViolationSite> violation_site;
-
-  std::int64_t sessions = 0;
-  bool all_ports_idle = false;
-  // sessions >= s and every port process idles.
-  bool solves = false;
-
-  // Real-time measure: time of the last port process's idling step.
-  std::optional<Time> termination_time;
-  // Round measure over the active prefix (asynchronous / sporadic models).
-  RoundDecomposition rounds;
-  // Largest observed step gap before termination (the paper's γ).
-  std::optional<Duration> gamma;
-};
 
 // `observer` (optional, unowned) records a "verify.run" span plus session /
 // verified-run counters and the termination-time histogram; when null the
@@ -43,5 +22,10 @@ struct Verdict {
 Verdict verify(const TimedComputation& tc, const ProblemSpec& spec,
                const TimingConstraints& constraints,
                obs::Observer* observer = nullptr);
+
+// The verdict counters and histogram verify() records (verify.runs,
+// verify.sessions, verify.termination_time), for verdicts reached without
+// it — the online verdicts of verdict-only runs. Tolerates a null observer.
+void observe_verdict(obs::Observer* observer, const Verdict& v);
 
 }  // namespace sesp

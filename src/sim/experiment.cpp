@@ -43,13 +43,13 @@ struct WorstSlot {
   std::optional<std::string> error;
 };
 
-template <typename Outcome>
-WorstSlot make_worst_slot(const std::string& label, const Outcome& out) {
+template <typename RunResult>
+WorstSlot make_worst_slot(const std::string& label, const RunResult& run,
+                          const Verdict& v) {
   WorstSlot s;
   s.label = label;
-  s.completed = out.run.completed;
-  s.hit_limit = out.run.hit_limit;
-  const Verdict& v = out.verdict;
+  s.completed = run.completed;
+  s.hit_limit = run.hit_limit;
   s.admissible = v.admissible;
   s.violation = v.admissibility_violation;
   s.solves = v.solves;
@@ -57,8 +57,35 @@ WorstSlot make_worst_slot(const std::string& label, const Outcome& out) {
   s.termination = v.termination_time;
   s.rounds = v.rounds.rounds_ceiling();
   if (v.gamma) s.gamma = *v.gamma;
-  if (out.run.error) s.error = out.run.error->to_string();
+  if (run.error) s.error = run.error->to_string();
   return s;
+}
+
+// One worst-case family member's slot, verdict-only (docs/performance.md
+// "Verdict-only runs"): the simulator feeds the online monitor and builds
+// no trace. When the monitor cannot settle the verdict — a check it could
+// not prove, or invalid constraints — the member is re-run from a freshly
+// built adversary with the trace on and verified post hoc, so the
+// violation wording stays check_admissible's. Both runs are deterministic
+// and identical up to recording, so the retry is observed only through its
+// verdict: its simulator instruments go to an inert observer, and the
+// verdict counters are recorded once either way.
+template <typename Member, typename Simulate>
+WorstSlot worst_slot(const Member& member, const ProblemSpec& spec,
+                     const TimingConstraints& constraints, obs::Observer* o,
+                     const Simulate& simulate) {
+  auto adversary = member.make();
+  const auto online = simulate(adversary, Recording::kVerdictOnly, o);
+  if (online.verdict->admissible) {
+    observe_verdict(o, *online.verdict);
+    return make_worst_slot(member.label, online, *online.verdict);
+  }
+  obs::Observer inert;
+  auto fresh = member.make();
+  const auto traced = simulate(fresh, Recording::kTrace, &inert);
+  const Verdict v = verify(traced.trace, spec, constraints, &inert);
+  observe_verdict(o, v);
+  return make_worst_slot(member.label, traced, v);
 }
 
 std::string encode_worst_slot(const WorstSlot& s) {
@@ -177,127 +204,193 @@ P2pOutcome run_p2p_once(const ProblemSpec& spec,
   return out;
 }
 
+std::vector<MpmFamilyMember> mpm_worst_case_family(
+    const ProblemSpec& spec, const TimingConstraints& constraints,
+    std::int32_t random_runs, std::uint64_t seed) {
+  const std::int32_t n = spec.n;
+  const TimingConstraints& c = constraints;
+  std::vector<MpmFamilyMember> family;
+  // Each builder captures its parameters by value, so a member can be
+  // rebuilt fresh — RNG streams at their start — at any time.
+  auto add = [&family](std::string label, auto make_sched, auto make_delay) {
+    family.push_back(MpmFamilyMember{
+        std::move(label), [make_sched, make_delay] {
+          return MpmAdversary{make_sched(), make_delay()};
+        }});
+  };
+  const auto fixed = [](auto... args) {
+    return [=] { return std::make_unique<FixedPeriodScheduler>(args...); };
+  };
+  const auto fixed_delay = [](Duration d) {
+    return [=] { return std::make_unique<FixedDelay>(d); };
+  };
+  const auto uniform_delay = [](Duration lo, Duration hi, std::uint64_t s) {
+    return [=] { return std::make_unique<UniformRandomDelay>(lo, hi, s); };
+  };
+
+  switch (c.model) {
+    case TimingModel::kSynchronous:
+      add("lockstep", fixed(n, c.c2), fixed_delay(c.d2));
+      break;
+    case TimingModel::kPeriodic: {
+      add("periods/max-delay", fixed(c.periods), fixed_delay(c.d2));
+      add("periods/zero-delay", fixed(c.periods), fixed_delay(Duration(0)));
+      const Duration d2 = c.d2;
+      add("periods/straggler", fixed(c.periods), [d2] {
+        return std::make_unique<StragglerDelay>(0, Duration(0), d2);
+      });
+      for (std::int32_t r = 0; r < random_runs; ++r)
+        add("periods/random-delay#" + std::to_string(r), fixed(c.periods),
+            uniform_delay(Duration(0), c.d2, seed + 31 * r + 1));
+      break;
+    }
+    case TimingModel::kSemiSynchronous: {
+      add("all-slow/max-delay", fixed(n, c.c2), fixed_delay(c.d2));
+      add("all-fast/max-delay", fixed(n, c.c1), fixed_delay(c.d2));
+      const Duration c1 = c.c1, c2 = c.c2;
+      add("slow-one/max-delay",
+          [=] { return std::make_unique<SlowOneScheduler>(n, c1, 0, c2); },
+          fixed_delay(c.d2));
+      for (std::int32_t r = 0; r < random_runs; ++r) {
+        const std::uint64_t s = seed + 77 * r + 3;
+        add("random#" + std::to_string(r),
+            [=] { return std::make_unique<UniformGapScheduler>(c1, c2, s); },
+            uniform_delay(Duration(0), c.d2, seed + 77 * r + 4));
+      }
+      break;
+    }
+    case TimingModel::kSporadic: {
+      add("all-c1/max-delay", fixed(n, c.c1), fixed_delay(c.d2));
+      add("all-c1/min-delay", fixed(n, c.c1), fixed_delay(c.d1));
+      const Duration c1 = c.c1;
+      add("slow-one/max-delay",
+          [=] {
+            return std::make_unique<SlowOneScheduler>(n, c1, 0, c1 * 16);
+          },
+          fixed_delay(c.d2));
+      for (std::int32_t r = 0; r < random_runs; ++r) {
+        const std::uint64_t s = seed + 13 * r + 5;
+        add("bursty#" + std::to_string(r),
+            [=] { return std::make_unique<BurstyScheduler>(c1, 1, 8, 12, s); },
+            uniform_delay(c.d1, c.d2, seed + 13 * r + 6));
+      }
+      break;
+    }
+    case TimingModel::kAsynchronous: {
+      add("all-c2/max-delay", fixed(n, c.c2), fixed_delay(c.d2));
+      const Duration c2 = c.c2;
+      add("slow-one/max-delay",
+          [=] {
+            return std::make_unique<SlowOneScheduler>(n, c2 / 4, 0, c2);
+          },
+          fixed_delay(c.d2));
+      for (std::int32_t r = 0; r < random_runs; ++r) {
+        const std::uint64_t s = seed + 7 * r + 9;
+        add("random#" + std::to_string(r),
+            [=] {
+              return std::make_unique<UniformGapScheduler>(c2 / 16, c2, s);
+            },
+            uniform_delay(Duration(0), c.d2, seed + 7 * r + 10));
+      }
+      break;
+    }
+  }
+  return family;
+}
+
+std::vector<SmmFamilyMember> smm_worst_case_family(
+    const ProblemSpec& spec, const TimingConstraints& constraints,
+    std::int32_t random_runs, std::uint64_t seed) {
+  const std::int32_t total = smm_total_processes(spec.n, spec.b);
+  const TimingConstraints& c = constraints;
+  std::vector<SmmFamilyMember> family;
+  auto add = [&family](std::string label, auto make_sched) {
+    family.push_back(SmmFamilyMember{
+        std::move(label),
+        [make_sched] { return SmmAdversary{make_sched()}; }});
+  };
+  const auto fixed = [](auto... args) {
+    return [=] { return std::make_unique<FixedPeriodScheduler>(args...); };
+  };
+
+  switch (c.model) {
+    case TimingModel::kSynchronous:
+      add("lockstep", fixed(total, c.c2));
+      break;
+    case TimingModel::kPeriodic:
+      add("periods", fixed(c.periods));
+      break;
+    case TimingModel::kSemiSynchronous: {
+      add("all-slow", fixed(total, c.c2));
+      add("all-fast", fixed(total, c.c1));
+      const Duration c1 = c.c1, c2 = c.c2;
+      add("slow-one", [=] {
+        return std::make_unique<SlowOneScheduler>(total, c1, 0, c2);
+      });
+      for (std::int32_t r = 0; r < random_runs; ++r) {
+        const std::uint64_t s = seed + 41 * r + 11;
+        add("random#" + std::to_string(r),
+            [=] { return std::make_unique<UniformGapScheduler>(c1, c2, s); });
+      }
+      break;
+    }
+    case TimingModel::kSporadic:
+    case TimingModel::kAsynchronous: {
+      const Duration base =
+          c.model == TimingModel::kSporadic ? c.c1 : Duration(1);
+      add("all-base", fixed(total, base));
+      add("slow-one", [=] {
+        return std::make_unique<SlowOneScheduler>(total, base, 0, base * 16);
+      });
+      for (std::int32_t r = 0; r < random_runs; ++r) {
+        const std::uint64_t s = seed + 59 * r + 13;
+        add("bursty#" + std::to_string(r), [=] {
+          return std::make_unique<BurstyScheduler>(base, 1, 8, 12, s);
+        });
+      }
+      break;
+    }
+  }
+  return family;
+}
+
 WorstCase mpm_worst_case(const ProblemSpec& spec,
                          const TimingConstraints& constraints,
                          const MpmAlgorithmFactory& factory,
                          std::int32_t random_runs, std::uint64_t seed,
                          const MpmRunLimits& limits) {
   WorstCase wc;
-  const std::int32_t n = spec.n;
+  const std::vector<MpmFamilyMember> family =
+      mpm_worst_case_family(spec, constraints, random_runs, seed);
 
-  struct Adversary {
-    std::string label;
-    std::unique_ptr<StepScheduler> sched;
-    std::unique_ptr<DelayStrategy> delay;
-  };
-  std::vector<Adversary> family;
-  auto add = [&family](std::string label, std::unique_ptr<StepScheduler> s,
-                       std::unique_ptr<DelayStrategy> d) {
-    family.push_back(Adversary{std::move(label), std::move(s), std::move(d)});
-  };
-
-  switch (constraints.model) {
-    case TimingModel::kSynchronous:
-      add("lockstep",
-          std::make_unique<FixedPeriodScheduler>(n, constraints.c2),
-          std::make_unique<FixedDelay>(constraints.d2));
-      break;
-    case TimingModel::kPeriodic: {
-      add("periods/max-delay",
-          std::make_unique<FixedPeriodScheduler>(constraints.periods),
-          std::make_unique<FixedDelay>(constraints.d2));
-      add("periods/zero-delay",
-          std::make_unique<FixedPeriodScheduler>(constraints.periods),
-          std::make_unique<FixedDelay>(Duration(0)));
-      add("periods/straggler",
-          std::make_unique<FixedPeriodScheduler>(constraints.periods),
-          std::make_unique<StragglerDelay>(0, Duration(0), constraints.d2));
-      for (std::int32_t r = 0; r < random_runs; ++r)
-        add("periods/random-delay#" + std::to_string(r),
-            std::make_unique<FixedPeriodScheduler>(constraints.periods),
-            std::make_unique<UniformRandomDelay>(Duration(0), constraints.d2,
-                                                 seed + 31 * r + 1));
-      break;
-    }
-    case TimingModel::kSemiSynchronous:
-      add("all-slow/max-delay",
-          std::make_unique<FixedPeriodScheduler>(n, constraints.c2),
-          std::make_unique<FixedDelay>(constraints.d2));
-      add("all-fast/max-delay",
-          std::make_unique<FixedPeriodScheduler>(n, constraints.c1),
-          std::make_unique<FixedDelay>(constraints.d2));
-      add("slow-one/max-delay",
-          std::make_unique<SlowOneScheduler>(n, constraints.c1, 0,
-                                             constraints.c2),
-          std::make_unique<FixedDelay>(constraints.d2));
-      for (std::int32_t r = 0; r < random_runs; ++r)
-        add("random#" + std::to_string(r),
-            std::make_unique<UniformGapScheduler>(constraints.c1,
-                                                  constraints.c2,
-                                                  seed + 77 * r + 3),
-            std::make_unique<UniformRandomDelay>(Duration(0), constraints.d2,
-                                                 seed + 77 * r + 4));
-      break;
-    case TimingModel::kSporadic:
-      add("all-c1/max-delay",
-          std::make_unique<FixedPeriodScheduler>(n, constraints.c1),
-          std::make_unique<FixedDelay>(constraints.d2));
-      add("all-c1/min-delay",
-          std::make_unique<FixedPeriodScheduler>(n, constraints.c1),
-          std::make_unique<FixedDelay>(constraints.d1));
-      add("slow-one/max-delay",
-          std::make_unique<SlowOneScheduler>(n, constraints.c1, 0,
-                                             constraints.c1 * 16),
-          std::make_unique<FixedDelay>(constraints.d2));
-      for (std::int32_t r = 0; r < random_runs; ++r)
-        add("bursty#" + std::to_string(r),
-            std::make_unique<BurstyScheduler>(constraints.c1, 1, 8, 12,
-                                              seed + 13 * r + 5),
-            std::make_unique<UniformRandomDelay>(constraints.d1,
-                                                 constraints.d2,
-                                                 seed + 13 * r + 6));
-      break;
-    case TimingModel::kAsynchronous:
-      add("all-c2/max-delay",
-          std::make_unique<FixedPeriodScheduler>(n, constraints.c2),
-          std::make_unique<FixedDelay>(constraints.d2));
-      add("slow-one/max-delay",
-          std::make_unique<SlowOneScheduler>(n, constraints.c2 / 4, 0,
-                                             constraints.c2),
-          std::make_unique<FixedDelay>(constraints.d2));
-      for (std::int32_t r = 0; r < random_runs; ++r)
-        add("random#" + std::to_string(r),
-            std::make_unique<UniformGapScheduler>(constraints.c2 / 16,
-                                                  constraints.c2,
-                                                  seed + 7 * r + 9),
-            std::make_unique<UniformRandomDelay>(Duration(0), constraints.d2,
-                                                 seed + 7 * r + 10));
-      break;
-  }
-
-  // Each adversary owns its schedulers (and their RNG streams), so runs are
-  // independent; results land in per-adversary slots and are folded in
+  // Each member builds its own schedulers (and their RNG streams), so runs
+  // are independent; results land in per-member slots and are folded in
   // family order, making the aggregate identical for every job count and —
   // via the WorstSlot payload round trip — for every interrupt/resume
   // history when a recovery::Supervisor is installed.
   obs::Observer* const parent = obs::default_observer();
   std::deque<obs::ObservationShard> shards =
       make_shards(parent, family.size());
+  const auto simulate = [&](MpmAdversary& adv, Recording recording,
+                            obs::Observer* o) {
+    return MpmSimulator(spec, constraints, factory, *adv.sched, *adv.delay,
+                        nullptr, o)
+        .run(limits, recording);
+  };
   recovery::supervised_sweep(
       "mpm_worst_case", family.size(),
       [&](std::size_t i) {
-        Adversary& adv = family[i];
+        const MpmFamilyMember& member = family[i];
         obs::Observer* const o = shards[i].observer();
         obs::ProfileScope exec_scope(o ? o->profiler : nullptr,
                                      obs::ProfilePhase::kExecTask);
         obs::Span span(
             o ? o->trace : nullptr, "adversary.mpm_worst_case", "adversary",
             o && o->trace
-                ? obs::args_object({obs::arg_str("label", adv.label)})
+                ? obs::args_object({obs::arg_str("label", member.label)})
                 : std::string());
-        return encode_worst_slot(make_worst_slot(
-            adv.label, run_mpm_once(spec, constraints, factory, *adv.sched,
-                                    *adv.delay, limits, nullptr, o)));
+        return encode_worst_slot(
+            worst_slot(member, spec, constraints, o, simulate));
       },
       [&](std::size_t i, const std::string& payload) {
         shards[i].merge_into_parent();
@@ -312,72 +405,31 @@ WorstCase smm_worst_case(const ProblemSpec& spec,
                          std::int32_t random_runs, std::uint64_t seed,
                          const SmmRunLimits& limits) {
   WorstCase wc;
-  const std::int32_t total = smm_total_processes(spec.n, spec.b);
-
-  struct Adversary {
-    std::string label;
-    std::unique_ptr<StepScheduler> sched;
-  };
-  std::vector<Adversary> family;
-  auto add = [&family](std::string label, std::unique_ptr<StepScheduler> s) {
-    family.push_back(Adversary{std::move(label), std::move(s)});
-  };
-
-  switch (constraints.model) {
-    case TimingModel::kSynchronous:
-      add("lockstep",
-          std::make_unique<FixedPeriodScheduler>(total, constraints.c2));
-      break;
-    case TimingModel::kPeriodic:
-      add("periods",
-          std::make_unique<FixedPeriodScheduler>(constraints.periods));
-      break;
-    case TimingModel::kSemiSynchronous:
-      add("all-slow",
-          std::make_unique<FixedPeriodScheduler>(total, constraints.c2));
-      add("all-fast",
-          std::make_unique<FixedPeriodScheduler>(total, constraints.c1));
-      add("slow-one", std::make_unique<SlowOneScheduler>(
-                          total, constraints.c1, 0, constraints.c2));
-      for (std::int32_t r = 0; r < random_runs; ++r)
-        add("random#" + std::to_string(r),
-            std::make_unique<UniformGapScheduler>(
-                constraints.c1, constraints.c2, seed + 41 * r + 11));
-      break;
-    case TimingModel::kSporadic:
-    case TimingModel::kAsynchronous: {
-      const Duration base = constraints.model == TimingModel::kSporadic
-                                ? constraints.c1
-                                : Duration(1);
-      add("all-base", std::make_unique<FixedPeriodScheduler>(total, base));
-      add("slow-one",
-          std::make_unique<SlowOneScheduler>(total, base, 0, base * 16));
-      for (std::int32_t r = 0; r < random_runs; ++r)
-        add("bursty#" + std::to_string(r),
-            std::make_unique<BurstyScheduler>(base, 1, 8, 12,
-                                              seed + 59 * r + 13));
-      break;
-    }
-  }
+  const std::vector<SmmFamilyMember> family =
+      smm_worst_case_family(spec, constraints, random_runs, seed);
 
   obs::Observer* const parent = obs::default_observer();
   std::deque<obs::ObservationShard> shards =
       make_shards(parent, family.size());
+  const auto simulate = [&](SmmAdversary& adv, Recording recording,
+                            obs::Observer* o) {
+    return SmmSimulator(spec, constraints, factory, *adv.sched, nullptr, o)
+        .run(limits, recording);
+  };
   recovery::supervised_sweep(
       "smm_worst_case", family.size(),
       [&](std::size_t i) {
-        Adversary& adv = family[i];
+        const SmmFamilyMember& member = family[i];
         obs::Observer* const o = shards[i].observer();
         obs::ProfileScope exec_scope(o ? o->profiler : nullptr,
                                      obs::ProfilePhase::kExecTask);
         obs::Span span(
             o ? o->trace : nullptr, "adversary.smm_worst_case", "adversary",
             o && o->trace
-                ? obs::args_object({obs::arg_str("label", adv.label)})
+                ? obs::args_object({obs::arg_str("label", member.label)})
                 : std::string());
-        return encode_worst_slot(make_worst_slot(
-            adv.label, run_smm_once(spec, constraints, factory, *adv.sched,
-                                    limits, nullptr, o)));
+        return encode_worst_slot(
+            worst_slot(member, spec, constraints, o, simulate));
       },
       [&](std::size_t i, const std::string& payload) {
         shards[i].merge_into_parent();

@@ -23,6 +23,8 @@
 // ranges to cooperating worker processes (docs/robustness.md).
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -100,9 +102,39 @@ struct WorstCase {
   bool operator==(const WorstCase&) const = default;
 };
 
-// Runs the factory under the canonical adversaries of constraints.model:
-// the deterministic worst cases (slowest periods, maximal delays, slow-one /
-// straggler skews) plus `random_runs` seeded random admissible schedules.
+// The canonical adversary family of constraints.model: the deterministic
+// worst cases (slowest periods, maximal delays, slow-one / straggler skews)
+// plus `random_runs` seeded random admissible schedules. Each member is a
+// label plus a builder that makes a fresh adversary — its RNG streams at
+// their start — so any member can be re-run on its own.
+struct MpmAdversary {
+  std::unique_ptr<StepScheduler> sched;
+  std::unique_ptr<DelayStrategy> delay;
+};
+struct MpmFamilyMember {
+  std::string label;
+  std::function<MpmAdversary()> make;
+};
+std::vector<MpmFamilyMember> mpm_worst_case_family(
+    const ProblemSpec& spec, const TimingConstraints& constraints,
+    std::int32_t random_runs, std::uint64_t seed);
+
+struct SmmAdversary {
+  std::unique_ptr<StepScheduler> sched;
+};
+struct SmmFamilyMember {
+  std::string label;
+  std::function<SmmAdversary()> make;
+};
+std::vector<SmmFamilyMember> smm_worst_case_family(
+    const ProblemSpec& spec, const TimingConstraints& constraints,
+    std::int32_t random_runs, std::uint64_t seed);
+
+// Runs the factory under every member of its model's family and folds the
+// verdicts in family order. Members run verdict-only (no trace is built;
+// docs/performance.md "Verdict-only runs"); a member whose verdict the
+// online monitor cannot settle is re-run recording and verified post hoc,
+// so failure wording matches verify() exactly.
 WorstCase mpm_worst_case(const ProblemSpec& spec,
                          const TimingConstraints& constraints,
                          const MpmAlgorithmFactory& factory,

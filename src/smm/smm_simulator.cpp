@@ -32,7 +32,16 @@ SmmSimulator::SmmSimulator(const ProblemSpec& spec,
       faults_(faults),
       observer_(observer) {}
 
-SmmRunResult SmmSimulator::run(const SmmRunLimits& limits) {
+SmmRunResult SmmSimulator::run(const SmmRunLimits& limits,
+                               Recording recording) {
+  return recording == Recording::kTrace
+             ? run_as<Recording::kTrace>(limits)
+             : run_as<Recording::kVerdictOnly>(limits);
+}
+
+template <Recording kMode>
+SmmRunResult SmmSimulator::run_as(const SmmRunLimits& limits) {
+  constexpr bool kRecord = kMode == Recording::kTrace;
   const std::int32_t n = spec_.n;
   obs::Observer* const o = obs::resolve(observer_);
   obs::Profiler* const prof = o ? o->profiler : nullptr;
@@ -47,7 +56,12 @@ SmmRunResult SmmSimulator::run(const SmmRunLimits& limits) {
   if (n <= 0 || (n > 1 && spec_.b < 2)) {
     SmmRunResult result{TimedComputation(Substrate::kSharedMemory,
                                          std::max(n, 0), std::max(n, 0)),
-                        false, false, 0, 0, 0, 0, std::nullopt, {}};
+                        false, false, 0, 0, 0, 0, std::nullopt, {},
+                        std::nullopt};
+    if constexpr (!kRecord)
+      result.verdict = VerdictMonitor(Substrate::kSharedMemory, std::max(n, 0),
+                                      std::max(n, 0), constraints_)
+                           .verdict(spec_.s);
     SimError err;
     err.code = SimErrorCode::kInvalidSpec;
     err.detail = "SMM needs n >= 1 and b >= 2, got n=" + std::to_string(n) +
@@ -82,12 +96,24 @@ SmmRunResult SmmSimulator::run(const SmmRunLimits& limits) {
                       tree.depth(),
                       tree.latency_steps_bound(),
                       std::nullopt,
-                      {}};
+                      {},
+                      std::nullopt};
+  // A verdict-only run feeds this monitor every step the trace would have
+  // recorded and hands back only its verdict (seal()).
+  std::optional<VerdictMonitor> online;
+  if constexpr (!kRecord)
+    online.emplace(Substrate::kSharedMemory, total, n, constraints_);
+  VerdictMonitor* const monitor = online ? &*online : nullptr;
+  const auto seal = [&] {
+    if (monitor) result.verdict = monitor->verdict(spec_.s);
+  };
   TimedComputation& trace = result.trace;
+  // Index of the next step; the trace's length when recording.
+  std::size_t next_step = 0;
   // Pre-size the step log to the budget (SMM traces carry no messages), so
   // budget-bounded runs never pay the log's geometric reallocations; capped
   // so unbounded budgets stay lazy (docs/performance.md "Data layout").
-  if (limits.max_steps > 0)
+  if (kRecord && limits.max_steps > 0)
     trace.reserve(static_cast<std::size_t>(std::min<std::int64_t>(
                       limits.max_steps + total, std::int64_t{1} << 18)),
                   0);
@@ -144,7 +170,7 @@ SmmRunResult SmmSimulator::run(const SmmRunLimits& limits) {
       err.detail = "scheduled t=" + t.to_string() + " before t=" +
                    floor.to_string();
       err.process = p;
-      err.step_index = static_cast<std::int64_t>(trace.steps().size());
+      err.step_index = static_cast<std::int64_t>(next_step);
       err.time = floor;
       result.error = std::move(err);
       sched_timer.end();
@@ -158,6 +184,7 @@ SmmRunResult SmmSimulator::run(const SmmRunLimits& limits) {
   for (ProcessId p = 0; p < total; ++p)
     if (!schedule_step(p, std::nullopt, 0)) {
       obs::observe_error(o, *result.error);
+      seal();
       return result;
     }
 
@@ -183,7 +210,7 @@ SmmRunResult SmmSimulator::run(const SmmRunLimits& limits) {
                                std::to_string(limits.max_steps) + " exhausted"
                          : "model-time budget " + limits.max_time.to_string() +
                                " exhausted";
-      err.step_index = static_cast<std::int64_t>(trace.steps().size());
+      err.step_index = static_cast<std::int64_t>(next_step);
       err.time = ev.time;
       result.error = std::move(err);
       break;
@@ -195,7 +222,7 @@ SmmRunResult SmmSimulator::run(const SmmRunLimits& limits) {
         err.code = SimErrorCode::kNoProgress;
         err.detail = "time pinned at t=" + ev.time.to_string() + " for " +
                      std::to_string(stagnant_events) + " events";
-        err.step_index = static_cast<std::int64_t>(trace.steps().size());
+        err.step_index = static_cast<std::int64_t>(next_step);
         err.time = ev.time;
         result.error = std::move(err);
         break;
@@ -218,7 +245,11 @@ SmmRunResult SmmSimulator::run(const SmmRunLimits& limits) {
     }
 
     step_timer.begin();
-    StepRecord& st = trace.append_slot();
+    // A verdict-only step fills a scratch record for the monitor instead
+    // of a trace slot, and skips the value digests only the trace keeps.
+    StepRecord scratch;
+    StepRecord& st = kRecord ? trace.append_slot() : scratch;
+    ++next_step;
     st.kind = StepKind::kCompute;
     st.process = p;
     st.time = ev.time;
@@ -232,18 +263,18 @@ SmmRunResult SmmSimulator::run(const SmmRunLimits& limits) {
         Knowledge& value = mem.access(v, p);
         st.var = v;
         st.port = p;
-        st.value_before_digest = value.digest();
+        if constexpr (kRecord) st.value_before_digest = value.digest();
         alg.on_port_access();
         // The port variable's content is immaterial to the algorithms, but
         // a write is recorded so reorderings see a real mutation point.
         value.record(p, alg.advertised());
-        st.value_after_digest = value.digest();
+        if constexpr (kRecord) st.value_after_digest = value.digest();
       } else {
         VarId v = tree.uplink(p);
         if (v == kNoVar) v = scratch_var[pi];
         Knowledge& value = mem.access(v, p);
         st.var = v;
-        st.value_before_digest = value.digest();
+        if constexpr (kRecord) st.value_before_digest = value.digest();
         // Write corruption: the read-modify-write loses the variable's
         // previous contents (lost update) before this process's write.
         if (faults_ && faults_->corrupt_write(v, p, ev.time)) {
@@ -252,7 +283,7 @@ SmmRunResult SmmSimulator::run(const SmmRunLimits& limits) {
         }
         value.record(p, alg.advertised());
         alg.on_tree_snapshot(value);
-        st.value_after_digest = value.digest();
+        if constexpr (kRecord) st.value_after_digest = value.digest();
       }
       if (c_shared_reads) {
         c_shared_reads->inc();
@@ -269,7 +300,7 @@ SmmRunResult SmmSimulator::run(const SmmRunLimits& limits) {
       ++relay_pos[r];
       Knowledge& value = mem.access(v, p);
       st.var = v;
-      st.value_before_digest = value.digest();
+      if constexpr (kRecord) st.value_before_digest = value.digest();
       if (faults_ && faults_->corrupt_write(v, p, ev.time)) {
         obs::observe_fault(o, "corrupt", p, ev.time);
         value = Knowledge{};
@@ -281,13 +312,15 @@ SmmRunResult SmmSimulator::run(const SmmRunLimits& limits) {
         relay_knowledge[r].merge(value);
         memo = {value.stamp(), relay_knowledge[r].stamp()};
       }
-      st.value_after_digest = value.digest();
+      if constexpr (kRecord) st.value_after_digest = value.digest();
       if (c_shared_reads) {
         c_shared_reads->inc();
         o->shared_writes->inc();
       }
     }
 
+    if constexpr (!kRecord)
+      monitor->compute(p, st.port, st.time, st.idle_after);
     ++result.compute_steps;
     if (c_steps) c_steps->inc();
     ++step_count[pi];
@@ -311,6 +344,7 @@ SmmRunResult SmmSimulator::run(const SmmRunLimits& limits) {
          obs::arg_int("steps", result.compute_steps),
          obs::arg_int("relays", result.num_relays),
          obs::arg_int("completed", result.completed ? 1 : 0)}));
+  seal();
   return result;
 }
 

@@ -5,7 +5,8 @@
 // the Section-3 broadcast tree), runs port algorithms and fixed-gossip
 // relays under the adversary's step schedule, and records the full timed
 // computation with per-step variable digests (for the reordering machinery
-// of Theorem 5.1).
+// of Theorem 5.1) — or, verdict-only, feeds the online verdict monitor and
+// records nothing.
 //
 // An optional FaultInjector adds crash-stops, timing violations and shared
 // variable write corruption (lost updates) at the corresponding hook points;
@@ -28,6 +29,7 @@
 #include "model/ids.hpp"
 #include "model/timed_computation.hpp"
 #include "obs/observer.hpp"
+#include "session/verdict_monitor.hpp"
 #include "smm/algorithm.hpp"
 #include "smm/shared_memory.hpp"
 #include "smm/tree_network.hpp"
@@ -43,6 +45,7 @@ struct SmmRunLimits {
 };
 
 struct SmmRunResult {
+  // The timed computation; empty for a Recording::kVerdictOnly run.
   TimedComputation trace;
   bool completed = false;  // every port process idled or crash-stopped
   bool hit_limit = false;
@@ -55,6 +58,11 @@ struct SmmRunResult {
   std::optional<SimError> error;
   // Processes (ports or relays) crash-stopped by fault injection.
   std::vector<ProcessId> crashed;
+  // Recording::kVerdictOnly runs: the online verdict (VerdictMonitor::
+  // verdict), from every step the trace would have recorded. admissible is
+  // false, with no violation named, whenever the monitor could not prove
+  // admissibility alone.
+  std::optional<Verdict> verdict;
 };
 
 // Number of processes (ports + relays) the layout for (n, b) uses; step
@@ -68,9 +76,17 @@ class SmmSimulator {
                FaultInjector* faults = nullptr,
                obs::Observer* observer = nullptr);
 
-  SmmRunResult run(const SmmRunLimits& limits = SmmRunLimits{});
+  // Recording::kVerdictOnly builds no trace and skips the per-step value
+  // digests (which only the trace carries): every step goes to an online
+  // VerdictMonitor whose verdict the result carries. Every other observable
+  // is identical to the default recording run (see MpmSimulator::run).
+  SmmRunResult run(const SmmRunLimits& limits = SmmRunLimits{},
+                   Recording recording = Recording::kTrace);
 
  private:
+  template <Recording kMode>
+  SmmRunResult run_as(const SmmRunLimits& limits);
+
   ProblemSpec spec_;
   TimingConstraints constraints_;
   const SmmAlgorithmFactory& factory_;

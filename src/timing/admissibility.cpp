@@ -37,25 +37,23 @@ std::string describe_gap(ProcessId p, std::size_t step_index, const Time& prev,
 
 }  // namespace
 
-AdmissibilityScan::AdmissibilityScan(const TimedComputation& tc,
-                                     const TimingConstraints& c)
-    : tc_(tc),
-      c_(c),
-      model_(c.model),
-      num_processes_(tc.num_processes()),
+AdmissibilityMonitor::AdmissibilityMonitor(Substrate substrate,
+                                           std::int32_t num_processes,
+                                           const TimingConstraints& c)
+    : c_(c),
+      num_processes_(num_processes),
       prev_time_(0),
       delay_lo_(0),
       delay_hi_(c.d2) {
-  no_gap_bounds_ = model_ == TimingModel::kAsynchronous &&
-                   tc.substrate() == Substrate::kSharedMemory;
+  no_gap_bounds_ = c.model == TimingModel::kAsynchronous &&
+                   substrate == Substrate::kSharedMemory;
   const auto n =
       static_cast<std::size_t>(num_processes_ > 0 ? num_processes_ : 0);
   ok_ = num_processes_ >= 0 &&
-        (model_ != TimingModel::kPeriodic || c.periods.size() >= n);
-  idle_.assign(n, false);
+        (c.model != TimingModel::kPeriodic || c.periods.size() >= n);
+  idle_.assign(n, 0);
   last_.assign(n, Time(0));
-  pending_.resize(n);
-  switch (model_) {
+  switch (c.model) {
     case TimingModel::kSynchronous:
       delay_exact_ = true;
       delay_lo_ = c.d2;
@@ -70,17 +68,6 @@ AdmissibilityScan::AdmissibilityScan(const TimedComputation& tc,
   }
 }
 
-void AdmissibilityScan::messages() {
-  if (!ok_) return;
-  // Every message consumed by the send cursor, every claimed delivery
-  // vouched by its delivery step, every claimed receipt vouched by its
-  // recipient's compute step — otherwise some per-message check is
-  // unproven and the precise path decides.
-  ok_ = next_send_ == tc_.messages().size() &&
-        matched_deliver_ == delivered_total_ &&
-        matched_receive_ == received_total_;
-}
-
 AdmissibilityReport check_admissible(const TimedComputation& tc,
                                      const TimingConstraints& constraints) {
   if (auto err = constraints.validate())
@@ -89,12 +76,9 @@ AdmissibilityReport check_admissible(const TimedComputation& tc,
   // anomaly falls through to the precise sequence, whose error selection
   // and wording are the compatibility contract.
   {
-    AdmissibilityScan scan(tc, constraints);
-    for (const StepRecord& st : tc.steps()) {
-      scan.step(st);
-      if (!scan.proven()) break;
-    }
-    scan.messages();
+    AdmissibilityMonitor scan(tc.substrate(), tc.num_processes(),
+                              constraints);
+    feed_trace(tc, scan);
     if (scan.proven()) return AdmissibilityReport{};
   }
   if (auto err = tc.structural_error())

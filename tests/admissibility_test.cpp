@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "session/verifier.hpp"
+
 namespace sesp {
 namespace {
 
@@ -55,6 +57,30 @@ TEST(AdmissibilityTest, PeriodicNeedsPeriodPerProcess) {
   const auto rep = check_admissible(tc, constraints);
   EXPECT_FALSE(rep.admissible);
   EXPECT_NE(rep.violation.find("fewer periods"), std::string::npos);
+}
+
+// A process without a period of its own must fail the proof, not index
+// past the period list: first on check_admissible's fast path, whose first
+// step here is by the process that lacks a period...
+TEST(AdmissibilityTest, PeriodicMissingPeriodOnFirstStep) {
+  auto constraints = TimingConstraints::periodic({Duration(2)});
+  const auto tc = two_proc_trace({{1, Time(2)}, {0, Time(2)}});
+  const auto rep = check_admissible(tc, constraints);
+  EXPECT_FALSE(rep.admissible);
+  EXPECT_EQ(rep.violation, "periodic: fewer periods than processes");
+}
+
+// ...then through verify(), whose monitor sees every step of the trace.
+TEST(AdmissibilityTest, PeriodicMissingPeriodThroughVerify) {
+  auto constraints = TimingConstraints::periodic({Duration(2)});
+  const auto tc = two_proc_trace({{0, Time(2)}, {1, Time(2)}, {1, Time(4)}});
+  ProblemSpec spec;
+  spec.s = 1;
+  spec.n = 2;
+  const Verdict v = verify(tc, spec, constraints);
+  EXPECT_FALSE(v.admissible);
+  EXPECT_EQ(v.admissibility_violation,
+            "periodic: fewer periods than processes");
 }
 
 TEST(AdmissibilityTest, SemiSynchronousWindow) {

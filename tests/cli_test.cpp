@@ -126,6 +126,58 @@ TEST(CliTest, UsageErrorsExitTwo) {
       2);
 }
 
+// Invalid timing constants are usage errors — exit 2 with validate()'s
+// message, or the adversary's own window — never an abort inside an
+// adversary constructor or algorithm. Only the constants the chosen run
+// reads are checked: a flag it ignores (--d1 outside the sporadic model,
+// delays and async gap bounds in SMM) leaves the run as it was.
+TEST(CliTest, InvalidTimingConstantsExitTwo) {
+  const struct {
+    const char* flags;
+    const char* message;
+  } cases[] = {
+      {"--model=semisync --c1=3 --c2=2", "semi-synchronous: need c1 <= c2"},
+      {"--model=sporadic --d1=4 --d2=3", "need 0 <= d1 <= d2"},
+      {"--model=sporadic --c1=0", "sporadic: need c1 > 0"},
+      {"--substrate=smm --model=periodic --c1=0",
+       "periodic: periods must be positive"},
+      {"--substrate=p2p --model=sporadic --c1=0 --adversary=lockstep",
+       "need c1 > 0"},
+      {"--model=sync --adversary=random --c1=3 --c2=2",
+       "random: need c2 > 0 and c1 <= c2"},
+      {"--model=semisync --adversary=lockstep --c1=0",
+       "semi-synchronous: need c1 > 0"},
+  };
+  for (const auto& c : cases) {
+    const auto r = run_command(kCli + " --s=3 --n=3 " + c.flags);
+    EXPECT_EQ(r.status, 2) << c.flags << "\n" << r.output;
+    EXPECT_NE(r.output.find(std::string("invalid timing constants: ") +
+                            c.message),
+              std::string::npos)
+        << c.flags << "\n" << r.output;
+  }
+
+  const auto with_d1 = run_command(
+      stdout_only(kCli + " --model=semisync --s=3 --n=3 --d1=5 --d2=4"));
+  const auto without_d1 =
+      run_command(stdout_only(kCli + " --model=semisync --s=3 --n=3 --d2=4"));
+  EXPECT_EQ(with_d1.status, 0) << with_d1.output;
+  EXPECT_EQ(with_d1.output, without_d1.output);
+
+  // Constants the run does not read: it runs, and only the verdict's
+  // admissibility check (which sees the whole constraint set) objects.
+  for (const char* flags : {"--substrate=smm --model=async --c2=0",
+                            "--substrate=smm --model=semisync --d2=-1",
+                            "--model=semisync --adversary=lockstep --c1=3"}) {
+    const auto r = run_command(kCli + " --s=3 --n=3 " + flags);
+    EXPECT_NE(r.status, 2) << flags << "\n" << r.output;
+    EXPECT_EQ(r.output.find("invalid timing constants"), std::string::npos)
+        << flags << "\n" << r.output;
+    EXPECT_NE(r.output.find("invalid constraints"), std::string::npos)
+        << flags << "\n" << r.output;
+  }
+}
+
 // The crash-safe execution contract end to end (docs/robustness.md): a run
 // interrupted mid-sweep exits 75 with a resume hint, and --resume completes
 // it to a stdout byte-identical to the uninterrupted run's.

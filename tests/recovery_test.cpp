@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -26,8 +27,10 @@
 #include <vector>
 
 #include "adversary/exhaustive.hpp"
+#include "algorithms/mpm/async_alg.hpp"
 #include "algorithms/mpm/semisync_alg.hpp"
 #include "algorithms/mpm/sporadic_alg.hpp"
+#include "algorithms/smm/async_alg.hpp"
 #include "algorithms/smm/semisync_alg.hpp"
 #include "conformance/harness.hpp"
 #include "recovery/journal.hpp"
@@ -505,6 +508,34 @@ TEST(SupervisorTest, StopAfterIsAHardCapAtAnyJobCount) {
 // contract says it must equal the plain serial run for any job count and
 // any interruption cadence.
 
+// One driver run against the journal at `path` (created on round 0,
+// resumed after), with `stop_after` as the supervisor's hard checkpoint cap
+// (-1: none). Sets *interrupted when the cap (or a refused append) stopped
+// the run.
+template <typename Result>
+Result journal_round(const std::string& path, int round,
+                     std::int64_t stop_after,
+                     const std::function<Result()>& run, bool* interrupted) {
+  std::string error;
+  auto journal =
+      round == 0
+          ? recovery::RunJournal::create(path, "recovery_test", 99, &error)
+          : recovery::RunJournal::open_resume(path, &error);
+  if (!journal) {
+    ADD_FAILURE() << "round " << round << ": " << error;
+    *interrupted = false;
+    return Result{};
+  }
+  journal->set_fsync(false);
+  recovery::Supervisor sup(std::move(journal), {});
+  sup.set_stop_after(stop_after);
+  recovery::Supervisor* prev = recovery::Supervisor::install(&sup);
+  Result result = run();
+  recovery::Supervisor::install(prev);
+  *interrupted = sup.interrupted();
+  return result;
+}
+
 template <typename Result>
 Result run_to_completion(const std::string& name, std::int64_t stop_after,
                          const std::function<Result()>& run,
@@ -512,22 +543,9 @@ Result run_to_completion(const std::string& name, std::int64_t stop_after,
   const std::string path = temp_path(name);
   std::remove(path.c_str());
   for (int round = 0; round < 500; ++round) {
-    std::string error;
-    auto journal =
-        round == 0
-            ? recovery::RunJournal::create(path, "recovery_test", 99, &error)
-            : recovery::RunJournal::open_resume(path, &error);
-    if (!journal) {
-      ADD_FAILURE() << "round " << round << ": " << error;
-      return Result{};
-    }
-    journal->set_fsync(false);
-    recovery::Supervisor sup(std::move(journal), {});
-    sup.set_stop_after(stop_after);
-    recovery::Supervisor* prev = recovery::Supervisor::install(&sup);
-    Result result = run();
-    recovery::Supervisor::install(prev);
-    if (!sup.interrupted()) {
+    bool interrupted = false;
+    Result result = journal_round(path, round, stop_after, run, &interrupted);
+    if (!interrupted) {
       if (interrupted_rounds) *interrupted_rounds = round;
       std::remove(path.c_str());
       return result;
@@ -538,43 +556,92 @@ Result run_to_completion(const std::string& name, std::int64_t stop_after,
   return Result{};
 }
 
+// Kills the driver once, exactly at checkpoint `kill_at` (append kill_at+1
+// is refused, as if the process died there; 0 kills before the first
+// checkpoint), reports how many records the journal holds at that point,
+// then resumes without a cap until a round completes.
+template <typename Result>
+Result kill_once_then_resume(const std::string& name, std::int64_t kill_at,
+                             const std::function<Result()>& run,
+                             std::size_t* records_at_kill) {
+  const std::string path = temp_path(name);
+  std::remove(path.c_str());
+  bool interrupted = false;
+  Result result = journal_round(path, 0, kill_at, run, &interrupted);
+  *records_at_kill = recovery::read_journal_snapshot(path).records.size();
+  for (int round = 1; interrupted && round < 50; ++round)
+    result = journal_round(path, round, -1, run, &interrupted);
+  EXPECT_FALSE(interrupted) << name << " never completed";
+  std::remove(path.c_str());
+  return result;
+}
+
+// Every worst-case family — the semi-synchronous ones, and the sporadic
+// and asynchronous ones whose members run verdict-only with the largest
+// traces avoided — killed at every checkpoint N from 0 to the family size
+// (once, then resumed; and at a cadence of every N checkpoints), at several
+// job counts, reproduces the uninterrupted serial report exactly. The
+// journal at the kill point holds exactly min(N, family size) records.
 TEST(KillResumeTest, WorstCaseFamiliesAreByteIdentical) {
   const ProblemSpec spec{2, 3, 2};
-  const auto mpm_constraints = TimingConstraints::semi_synchronous(
+  SemiSyncMpmFactory semisync_mpm;
+  SporadicMpmFactory sporadic_mpm;
+  AsyncMpmFactory async_mpm;
+  SemiSyncSmmFactory semisync_smm;
+  AsyncSmmFactory async_smm;
+  const auto semisync = TimingConstraints::semi_synchronous(
       Duration(1), Duration(2), Duration(3));
-  const auto smm_constraints =
-      TimingConstraints::semi_synchronous(Duration(1), Duration(2));
-  SemiSyncMpmFactory mpm_factory;
-  SemiSyncSmmFactory smm_factory;
+  const auto sporadic =
+      TimingConstraints::sporadic(Duration(1), Duration(1), Duration(3));
+  const auto async = TimingConstraints::asynchronous(Duration(2), Duration(3));
 
-  JobsGuard serial(1);
-  const WorstCase mpm_ref =
-      mpm_worst_case(spec, mpm_constraints, mpm_factory, 4);
-  const WorstCase smm_ref =
-      smm_worst_case(spec, smm_constraints, smm_factory, 4);
-  ASSERT_GT(mpm_ref.runs, 0);
+  struct Family {
+    std::string name;
+    std::function<WorstCase()> run;
+  };
+  const Family families[] = {
+      {"mpm/semisync",
+       [&] { return mpm_worst_case(spec, semisync, semisync_mpm, 4); }},
+      {"smm/semisync",
+       [&] { return smm_worst_case(spec, semisync, semisync_smm, 4); }},
+      {"mpm/sporadic",
+       [&] { return mpm_worst_case(spec, sporadic, sporadic_mpm, 4); }},
+      {"smm/sporadic",
+       [&] { return smm_worst_case(spec, sporadic, async_smm, 4); }},
+      {"mpm/async", [&] { return mpm_worst_case(spec, async, async_mpm, 4); }},
+      {"smm/async", [&] { return smm_worst_case(spec, async, async_smm, 4); }},
+  };
 
-  for (const int jobs : {1, 2, 8}) {
-    for (const std::int64_t stop_after : {1, 3}) {
+  for (const Family& family : families) {
+    WorstCase reference;
+    {
+      JobsGuard serial(1);
+      reference = family.run();
+    }
+    ASSERT_GT(reference.runs, 0) << family.name;
+    for (const int jobs : {1, 2, 8}) {
       JobsGuard guard(jobs);
-      int rounds = 0;
-      const WorstCase mpm_got = run_to_completion<WorstCase>(
-          "kr_mpm_worst.journal", stop_after,
-          [&] {
-            return mpm_worst_case(spec, mpm_constraints, mpm_factory, 4);
-          },
-          &rounds);
-      EXPECT_EQ(mpm_got, mpm_ref)
-          << "jobs=" << jobs << " stop_after=" << stop_after;
-      EXPECT_GT(rounds, 0) << "interruption hook never fired";
-      EXPECT_EQ(run_to_completion<WorstCase>(
-                    "kr_smm_worst.journal", stop_after,
-                    [&] {
-                      return smm_worst_case(spec, smm_constraints,
-                                            smm_factory, 4);
-                    }),
-                smm_ref)
-          << "jobs=" << jobs << " stop_after=" << stop_after;
+      for (std::int64_t n = 0; n <= reference.runs; ++n) {
+        const std::string where = family.name + " jobs=" +
+                                  std::to_string(jobs) +
+                                  " N=" + std::to_string(n);
+        std::size_t records = 0;
+        EXPECT_EQ(kill_once_then_resume<WorstCase>("kr_worst.journal", n,
+                                                   family.run, &records),
+                  reference)
+            << where;
+        EXPECT_EQ(records,
+                  static_cast<std::size_t>(
+                      std::min<std::int64_t>(n, reference.runs)))
+            << where;
+        if (n == 0) continue;  // a cadence of 0 never progresses
+        int rounds = 0;
+        EXPECT_EQ(run_to_completion<WorstCase>("kr_worst.journal", n,
+                                               family.run, &rounds),
+                  reference)
+            << where;
+        EXPECT_GT(rounds, 0) << where << ": interruption hook never fired";
+      }
     }
   }
 }

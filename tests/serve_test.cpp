@@ -23,12 +23,15 @@
 #include <thread>
 #include <vector>
 
+#include "algorithms/mpm/sporadic_alg.hpp"
+#include "algorithms/smm/semisync_alg.hpp"
 #include "obs/json.hpp"
 #include "recovery/journal.hpp"
 #include "serve/admission.hpp"
 #include "serve/cache.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "sim/experiment.hpp"
 
 namespace sesp::serve {
 namespace {
@@ -147,6 +150,11 @@ TEST(ProtocolTest, RejectsMalformedRequests) {
       R"({"id":1,"op":"bound","c1":"3","c2":"2"})",  // c1 > c2
       R"({"id":1,"op":"bound","c2":"0"})",        // c2 must be positive
       R"({"id":1,"op":"bound","c1":"x/y"})",      // unparseable ratio
+      // Constants the model rejects (TimingConstraints::validate()).
+      R"({"id":1,"op":"run","model":"sporadic","c1":"0"})",
+      R"({"id":1,"op":"bound","model":"semisync","side":"mp","c1":"0"})",
+      R"({"id":1,"op":"sweep","model":"periodic","c1":"0"})",
+      R"({"id":1,"op":"replay","model":"semisync","c1":"0","trace":"x"})",
       R"({"id":1,"op":"replay"})",                // replay without trace
       R"({"id":1,"op":"poll"})",                  // poll without ticket
       R"({"id":1,"op":"poll","ticket":"zz"})",    // malformed ticket
@@ -463,6 +471,88 @@ TEST(ServerTest, AllTableOneCellsServe) {
       R"({"id":91,"op":"bound","model":"sporadic","side":"sm","c1":"1","d1":"1","d2":"4"})");
   ASSERT_TRUE(doc);
   EXPECT_EQ(reply_status(*doc), "BadRequest");
+  server.stop();
+}
+
+// A run whose constants the model rejects used to reach an adversary
+// constructor and abort the whole server; it is a BadRequest now, and the
+// server keeps answering.
+TEST(ServerTest, InvalidTimingConstantsAreBadRequests) {
+  Server server(ServerConfig{});
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  TestClient client(server.port());
+  ASSERT_TRUE(client.connected());
+  const auto bad = client.call(
+      R"({"id":2,"op":"run","substrate":"mpm","model":"sporadic","adversary":"worst","s":3,"n":3,"c1":"0"})");
+  ASSERT_TRUE(bad);
+  EXPECT_EQ(reply_status(*bad), "BadRequest");
+  const auto* detail = bad->find("error");
+  ASSERT_NE(detail, nullptr);
+  EXPECT_EQ(detail->string, "invalid timing constants: sporadic: need c1 > 0");
+  const auto health = client.call(R"({"id":3,"op":"health"})");
+  ASSERT_TRUE(health);
+  EXPECT_EQ(reply_status(*health), "Ok");
+  server.stop();
+}
+
+// Served adversary=worst replies run through the verdict-only worst-case
+// drivers. Their bytes are pinned (recorded while the drivers still built
+// and verified a trace per run), and their fields must match a direct call
+// of the same driver.
+TEST(ServerTest, WorstCaseRepliesArePinnedAndMatchTheDrivers) {
+  const struct {
+    const char* request;
+    const char* reply;
+  } pins[] = {
+      {R"json({"id":11,"op":"run","substrate":"mpm","model":"sporadic","adversary":"worst","s":3,"n":3,"c1":"1","d1":"1","d2":"4","seed":7})json",
+       R"json({"id":11,"status":"Ok","result":{"op":"run","substrate":"mpm","model":"sporadic","adversary":"worst","algorithm":"A(sp)-mpm","s":3,"n":3,"b":2,"seed":7,"runs":7,"all_solved":true,"min_sessions":3,"max_time":"48","max_rounds":11}})json"},
+      {R"json({"id":12,"op":"run","substrate":"smm","model":"semisync","adversary":"worst","s":3,"n":4,"b":2,"c1":"1","c2":"2","seed":5})json",
+       R"json({"id":12,"status":"Ok","result":{"op":"run","substrate":"smm","model":"semisync","adversary":"worst","algorithm":"semisync-smm(auto)","s":3,"n":4,"b":2,"seed":5,"runs":7,"all_solved":true,"min_sessions":4,"max_time":"14","max_rounds":7}})json"},
+  };
+  Server server(ServerConfig{});
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  TestClient client(server.port());
+  ASSERT_TRUE(client.connected());
+  for (const auto& pin : pins) {
+    ASSERT_TRUE(client.send_line(pin.request));
+    const auto reply = client.read_line(30'000);
+    ASSERT_TRUE(reply) << pin.request;
+    EXPECT_EQ(*reply, pin.reply);
+
+    Request r;
+    ASSERT_TRUE(parse_request(pin.request, ProtocolLimits{}, &r, &error))
+        << error;
+    WorstCase wc;
+    std::string algorithm;
+    if (r.substrate == "mpm") {
+      const SporadicMpmFactory factory;
+      algorithm = factory.name();
+      wc = mpm_worst_case(r.spec, request_constraints(r, r.spec.n), factory,
+                          4, r.seed);
+    } else {
+      const SemiSyncSmmFactory factory;
+      algorithm = factory.name();
+      wc = smm_worst_case(
+          r.spec,
+          request_constraints(r, smm_total_processes(r.spec.n, r.spec.b)),
+          factory, 4, r.seed);
+    }
+    const auto doc = obs::parse_json(*reply);
+    ASSERT_TRUE(doc);
+    const obs::JsonValue* result = doc->find("result");
+    ASSERT_NE(result, nullptr);
+    EXPECT_EQ(result->find("algorithm")->string, algorithm);
+    EXPECT_EQ(result->find("runs")->as_int64(), wc.runs);
+    EXPECT_EQ(result->find("all_solved")->boolean, wc.all_solved);
+    EXPECT_EQ(result->find("min_sessions")->as_int64(), wc.min_sessions);
+    EXPECT_EQ(result->find("max_time")->string,
+              wc.max_termination.to_string());
+    EXPECT_EQ(result->find("max_rounds")->as_int64(), wc.max_rounds);
+    EXPECT_EQ(result->find("first_failure") == nullptr,
+              wc.first_failure.empty());
+  }
   server.stop();
 }
 

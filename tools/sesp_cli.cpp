@@ -208,6 +208,71 @@ TimingConstraints build_constraints(const Options& opt,
   return TimingConstraints::asynchronous(opt.c2, opt.d2);
 }
 
+// The timing constants the chosen run reads, checked as a usage error
+// before anything runs: the schedulers, delay strategies and algorithms
+// abort on invalid ones. A constant the run does not read is not checked,
+// so every input that ran before keeps its output byte for byte (--d1 >
+// --d2 outside the sporadic model, say, except under random MPM). What
+// each run reads, as run_mpm / run_smm / run_p2p and the drivers under
+// them build it:
+//  * degradation grids: the canonical schedule's step period (c1 in the
+//    sporadic model, c2 in the synchronous and semi-synchronous ones, the
+//    periods in the periodic one, none in the asynchronous one) and, in
+//    MPM, d2 as a fixed delay;
+//  * worst-case families (no --faults): the model's constraints, checked
+//    whole by validate() — except that shared memory carries no messages
+//    (delay bounds unread) and its asynchronous form bounds no step gap;
+//  * any other run: the periodic model's periods; else a lockstep period
+//    (MPM and p2p: c1 in the sporadic model, else c2; SMM: c2), or the
+//    random gap window [c1, c2] (c2/8 standing in for c1 <= 0; MPM
+//    sporadic: [c1, 8*c1]); and in MPM and p2p a fixed delay d2, or the
+//    random MPM delay window [d1, d2] as given;
+//  * the semi-synchronous MPM and SMM algorithms divide by c1.
+// Instances with n < 1 are left to the substrates' own checks.
+std::optional<std::string> timing_error(const Options& opt) {
+  if (opt.spec.n < 1) return std::nullopt;
+  const bool smm = opt.substrate == "smm";
+  const bool p2p = opt.substrate == "p2p";
+  const bool sporadic = opt.model == "sporadic";
+  const std::int32_t total =
+      smm ? smm_total_processes(opt.spec.n, opt.spec.b) : opt.spec.n;
+  TimingConstraints c = build_constraints(opt, total);
+  if (!p2p && opt.model == "semisync" && opt.c1.is_zero())
+    return "semi-synchronous: need c1 > 0";
+
+  const bool degradation = !p2p && opt.degradation;
+  const bool family = !p2p && !degradation && opt.adversary == "worst" &&
+                      opt.faults.empty();
+  if (family) {
+    if (smm) {
+      if (c.model == TimingModel::kAsynchronous) return std::nullopt;
+      c.d1 = c.d2 = 0;
+    }
+    return c.validate();
+  }
+
+  const bool random = !p2p && !degradation && opt.model != "periodic" &&
+                      opt.adversary != "lockstep";
+  if (opt.model == "periodic") {
+    c.d1 = c.d2 = 0;  // the delay is checked below
+    if (auto err = c.validate()) return err;
+  } else if (random) {
+    if (sporadic && !smm ? !opt.c1.is_positive()
+                         : !opt.c2.is_positive() || opt.c2 < opt.c1)
+      return sporadic && !smm ? "random: need c1 > 0"
+                              : "random: need c2 > 0 and c1 <= c2";
+  } else if (!(degradation && opt.model == "async")) {
+    const bool by_c1 = sporadic && (degradation || !smm);
+    if (!(by_c1 ? opt.c1 : opt.c2).is_positive())
+      return by_c1 ? "need c1 > 0" : "need c2 > 0";
+  }
+  if (smm) return std::nullopt;
+  if (random ? opt.d1.is_negative() || opt.d2 < opt.d1
+             : opt.d2.is_negative())
+    return random ? "need 0 <= d1 <= d2" : "need d2 >= 0";
+  return std::nullopt;
+}
+
 // Builds the fault injector requested by --faults ("random" draws a seeded
 // chaos plan; anything else goes through FaultPlan::parse). Sets *status to 2
 // and returns nullptr on a malformed spec; returns nullptr with *status
@@ -594,6 +659,10 @@ int main(int argc, char** argv) {
     return sesp::run_journal_inspect(*opt);
   if (!opt->check_certificate.empty())
     return sesp::run_certificate_check(*opt);
+  if (const auto invalid = sesp::timing_error(*opt)) {
+    std::cerr << "invalid timing constants: " << *invalid << "\n";
+    return 2;
+  }
 
   // Installed for the whole dispatch so every nested layer reports into it;
   // the metrics / JSON / trace outputs are emitted when the scope closes.
