@@ -63,9 +63,9 @@ int main() {
   bool ok = true;
   const ProblemSpec spec{3, 4, 2};
   const Duration c1(1), c2(2), d1(0), d2(4);
-  MpmRunLimits mpm_limits;
+  RunLimits mpm_limits;
   mpm_limits.max_steps = 100'000;  // injected livelocks are cut fast
-  SmmRunLimits smm_limits;
+  RunLimits smm_limits;
   smm_limits.max_steps = 100'000;
 
   std::cout << "=== MP substrate: crashes x message loss ===\n\n";

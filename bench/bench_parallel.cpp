@@ -121,9 +121,9 @@ int main() {
   const auto smm_constraints = TimingConstraints::semi_synchronous(c1, c2);
   SemiSyncMpmFactory mpm_factory;
   SemiSyncSmmFactory smm_factory;
-  MpmRunLimits mpm_limits;
+  RunLimits mpm_limits;
   mpm_limits.max_steps = 200'000;
-  SmmRunLimits smm_limits;
+  RunLimits smm_limits;
   smm_limits.max_steps = 200'000;
   const std::int64_t random_runs = quick ? 8 : 32;
 

@@ -327,7 +327,7 @@ GeneratedRun run_case(const CaseDescriptor& c) {
     }
     const std::int32_t total = smm_total_processes(c.spec.n, c.spec.b);
     const auto scheduler = make_scheduler(c, total);
-    SmmRunLimits limits;
+    RunLimits limits;
     limits.max_steps = 100000;  // broken algorithms may never idle
     SmmOutcome o = run_smm_once(c.spec, c.constraints, *factory, *scheduler,
                                 limits);
@@ -350,7 +350,7 @@ GeneratedRun run_case(const CaseDescriptor& c) {
   }
   const auto scheduler = make_scheduler(c, c.spec.n);
   const auto delays = make_delays(c);
-  MpmRunLimits limits;
+  RunLimits limits;
   limits.max_steps = 100000;
   MpmOutcome o = run_mpm_once(c.spec, c.constraints, *factory, *scheduler,
                               *delays, limits);

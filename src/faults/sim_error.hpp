@@ -29,6 +29,18 @@ enum class SimErrorCode : std::uint8_t {
 
 const char* to_string(SimErrorCode code);
 
+// The watchdog budgets of every simulator (MPM, SMM, P2P). A run that
+// exceeds one before all port processes idle stops, flags hit_limit and
+// carries the matching SimError; they guard against broken
+// non-terminating algorithms.
+struct RunLimits {
+  std::int64_t max_steps = 2'000'000;
+  Time max_time = Time(1'000'000'000);
+  // No-progress watchdog: maximum consecutive events at one model time
+  // before the run is declared livelocked (zero-gap schedules).
+  std::int64_t max_stagnant_events = 100'000;
+};
+
 struct SimError {
   SimErrorCode code = SimErrorCode::kInvalidSpec;
   std::string detail;  // human-readable cause

@@ -29,7 +29,7 @@ MpmSimulator::MpmSimulator(const ProblemSpec& spec,
       faults_(faults),
       observer_(observer) {}
 
-MpmRunResult MpmSimulator::run(const MpmRunLimits& limits,
+MpmRunResult MpmSimulator::run(const RunLimits& limits,
                                Recording recording) {
   return recording == Recording::kTrace
              ? run_as<Recording::kTrace>(limits)
@@ -37,7 +37,7 @@ MpmRunResult MpmSimulator::run(const MpmRunLimits& limits,
 }
 
 template <Recording kMode>
-MpmRunResult MpmSimulator::run_as(const MpmRunLimits& limits) {
+MpmRunResult MpmSimulator::run_as(const RunLimits& limits) {
   constexpr bool kRecord = kMode == Recording::kTrace;
   const std::int32_t n = spec_.n;
   obs::Observer* const o = obs::resolve(observer_);

@@ -41,22 +41,12 @@
 
 namespace sesp {
 
-struct MpmRunLimits {
-  // Stop the run (and flag it) if it exceeds either limit before all port
-  // processes idle; guards against broken non-terminating algorithms.
-  std::int64_t max_steps = 2'000'000;
-  Time max_time = Time(1'000'000'000);
-  // No-progress watchdog: maximum consecutive events at one model time
-  // before the run is declared livelocked (zero-gap schedules).
-  std::int64_t max_stagnant_events = 100'000;
-};
-
 struct MpmRunResult {
   // The timed computation; empty (no steps, no messages) for a
   // Recording::kVerdictOnly run.
   TimedComputation trace;
   bool completed = false;     // every port process idled or crash-stopped
-  bool hit_limit = false;     // stopped by MpmRunLimits instead
+  bool hit_limit = false;     // stopped by RunLimits instead
   std::int64_t compute_steps = 0;
   std::int64_t messages_sent = 0;
   // Structured diagnostics: set when the run left the well-formed space
@@ -89,12 +79,12 @@ class MpmSimulator {
   // observable — the run flags and counts, the SimError, fault-hook and
   // delay-strategy calls with their sequential message ids, the observer's
   // instruments — is identical to the default recording run.
-  MpmRunResult run(const MpmRunLimits& limits = MpmRunLimits{},
+  MpmRunResult run(const RunLimits& limits = RunLimits{},
                    Recording recording = Recording::kTrace);
 
  private:
   template <Recording kMode>
-  MpmRunResult run_as(const MpmRunLimits& limits);
+  MpmRunResult run_as(const RunLimits& limits);
 
   ProblemSpec spec_;
   TimingConstraints constraints_;

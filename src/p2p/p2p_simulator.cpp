@@ -89,7 +89,7 @@ P2pSimulator::P2pSimulator(const ProblemSpec& spec,
       faults_(faults),
       observer_(observer) {}
 
-P2pRunResult P2pSimulator::run(const P2pRunLimits& limits) {
+P2pRunResult P2pSimulator::run(const RunLimits& limits) {
   const std::int32_t n = spec_.n;
   obs::Observer* const o = obs::resolve(observer_);
   obs::Profiler* const prof = o ? o->profiler : nullptr;

@@ -29,12 +29,6 @@
 
 namespace sesp {
 
-struct P2pRunLimits {
-  std::int64_t max_steps = 2'000'000;
-  Time max_time = Time(1'000'000'000);
-  std::int64_t max_stagnant_events = 100'000;
-};
-
 struct P2pRunResult {
   TimedComputation trace;
   bool completed = false;  // every port process idled or crash-stopped
@@ -57,7 +51,7 @@ class P2pSimulator {
                FaultInjector* faults = nullptr,
                obs::Observer* observer = nullptr);
 
-  P2pRunResult run(const P2pRunLimits& limits = P2pRunLimits{});
+  P2pRunResult run(const RunLimits& limits = RunLimits{});
 
  private:
   ProblemSpec spec_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
-#include <vector>
 
 #include "model/trace_io.hpp"
 #include "obs/json.hpp"
@@ -195,7 +194,7 @@ bool parse_request(std::string_view line, const ProtocolLimits& limits,
                      out->op == Op::kReplay || out->op == Op::kSweep;
   if (timed) {
     if (const auto invalid =
-            request_constraints(*out, out->spec.n).validate())
+            build_constraints(*out, out->spec.n).validate())
       return fail(error, "invalid timing constants: " + *invalid);
   }
 
@@ -230,26 +229,6 @@ bool parse_request(std::string_view line, const ProtocolLimits& limits,
       break;
   }
   return true;
-}
-
-TimingConstraints request_constraints(const Request& r,
-                                      std::int32_t total_processes) {
-  if (r.model == "sync") return TimingConstraints::synchronous(r.c2, r.d2);
-  if (r.model == "periodic") {
-    std::vector<Duration> periods;
-    for (std::int32_t i = 0; i < total_processes; ++i) {
-      const Ratio frac = total_processes > 1
-                             ? Ratio(i, std::max(total_processes - 1, 1))
-                             : Ratio(0);
-      periods.push_back(r.c1 + (r.c2 - r.c1) * frac);
-    }
-    return TimingConstraints::periodic(periods, r.d2);
-  }
-  if (r.model == "semisync")
-    return TimingConstraints::semi_synchronous(r.c1, r.c2, r.d2);
-  if (r.model == "sporadic")
-    return TimingConstraints::sporadic(r.c1, r.d1, r.d2);
-  return TimingConstraints::asynchronous(r.c2, r.d2);
 }
 
 std::uint64_t request_digest(const Request& r) {

@@ -29,9 +29,7 @@
 #include <string>
 #include <string_view>
 
-#include "model/ids.hpp"
-#include "timing/constraints.hpp"
-#include "util/ratio.hpp"
+#include "sim/scenario.hpp"
 
 namespace sesp::serve {
 
@@ -65,20 +63,16 @@ enum class Status : std::uint8_t { kOk, kBadRequest, kOverloaded, kTimeout };
 
 const char* status_name(Status status) noexcept;
 
-// One parsed request. Fields beyond (id, op) are op-specific; unused ones
-// keep their defaults and are excluded from the digest where irrelevant.
-struct Request {
+// One parsed request: the scenario fields (substrate mpm | smm for
+// run/sweep/replay) plus the op's own. Fields beyond (id, op) are
+// op-specific; unused ones keep their defaults and are excluded from the
+// digest where irrelevant.
+struct Request : Scenario {
   std::int64_t id = 0;
   Op op = Op::kHealth;
 
-  std::string substrate = "mpm";   // run/sweep/replay: mpm | smm
-  std::string bound_side = "mp";   // bound: sm | mp
-  std::string model = "semisync";  // sync|periodic|semisync|sporadic|async
-  std::string adversary = "worst";  // run: worst | lockstep | random
-  ProblemSpec spec{3, 3, 2};
-  Ratio c1 = 1, c2 = 2, d1 = 0, d2 = 4;
-  std::uint64_t seed = 1992;
-  std::int64_t deadline_ms = 0;  // 0 = server default
+  std::string bound_side = "mp";  // bound: sm | mp
+  std::int64_t deadline_ms = 0;   // 0 = server default
 
   std::string ticket;      // poll: sweep ticket (16 hex digits)
   std::string trace_text;  // replay: sesp-trace text
@@ -89,12 +83,6 @@ struct Request {
 // can still echo the id when it parsed (id 0 otherwise).
 bool parse_request(std::string_view line, const ProtocolLimits& limits,
                    Request* out, std::string* error);
-
-// The request's timing constraints exactly as sesp_cli builds them from the
-// same flags (the byte-identity of served and offline reports depends on
-// this mirroring); `total_processes` sizes the periodic period vector.
-TimingConstraints request_constraints(const Request& r,
-                                      std::int32_t total_processes);
 
 // Fingerprint of every result-affecting request field (never the id or the
 // deadline): the bound-cache key, the run-coalescing key, and the sweep

@@ -16,24 +16,13 @@
 #include <sstream>
 #include <utility>
 
-#include "adversary/delay_strategies.hpp"
-#include "adversary/step_schedulers.hpp"
-#include "algorithms/mpm/async_alg.hpp"
-#include "algorithms/mpm/periodic_alg.hpp"
-#include "algorithms/mpm/semisync_alg.hpp"
-#include "algorithms/mpm/sporadic_alg.hpp"
-#include "algorithms/mpm/sync_alg.hpp"
-#include "algorithms/smm/async_alg.hpp"
-#include "algorithms/smm/periodic_alg.hpp"
 #include "algorithms/smm/semisync_alg.hpp"
-#include "algorithms/smm/sync_alg.hpp"
 #include "analysis/bounds.hpp"
 #include "model/trace_io.hpp"
 #include "obs/json.hpp"
 #include "recovery/supervisor.hpp"
-#include "sim/experiment.hpp"
 #include "sim/replay.hpp"
-#include "smm/smm_simulator.hpp"
+#include "sim/scenario.hpp"
 
 namespace sesp::serve {
 
@@ -45,23 +34,6 @@ constexpr char kReportStage[] = "serve.report";
 
 std::string errno_text(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
-}
-
-std::unique_ptr<MpmAlgorithmFactory> make_mpm_factory(const std::string& m) {
-  if (m == "sync") return std::make_unique<SyncMpmFactory>();
-  if (m == "periodic") return std::make_unique<PeriodicMpmFactory>();
-  if (m == "semisync") return std::make_unique<SemiSyncMpmFactory>();
-  if (m == "sporadic") return std::make_unique<SporadicMpmFactory>();
-  return std::make_unique<AsyncMpmFactory>();
-}
-
-// No sporadic SMM algorithm exists (Table 1's sporadic row is MP-only);
-// sesp_cli falls back to the async algorithm there, and so do we.
-std::unique_ptr<SmmAlgorithmFactory> make_smm_factory(const std::string& m) {
-  if (m == "sync") return std::make_unique<SyncSmmFactory>();
-  if (m == "periodic") return std::make_unique<PeriodicSmmFactory>();
-  if (m == "semisync") return std::make_unique<SemiSyncSmmFactory>();
-  return std::make_unique<AsyncSmmFactory>();
 }
 
 const char* ticket_state_name(std::uint8_t state) {
@@ -797,50 +769,7 @@ Server::JobResult Server::compute_run(const Request& r) {
   obs::ObservationShard shard(&observer_);
   try {
     obs::ProfileScope scope(&local, obs::ProfilePhase::kServeExec);
-    std::string algorithm;
-    Verdict verdict;
-    if (r.substrate == "mpm") {
-      const auto constraints = request_constraints(r, r.spec.n);
-      const auto factory = make_mpm_factory(r.model);
-      algorithm = factory->name();
-      std::unique_ptr<StepScheduler> sched;
-      std::unique_ptr<DelayStrategy> delay;
-      if (r.model == "periodic") {
-        sched = std::make_unique<FixedPeriodScheduler>(constraints.periods);
-        delay = std::make_unique<FixedDelay>(r.d2);
-      } else if (r.adversary == "lockstep") {
-        sched = std::make_unique<FixedPeriodScheduler>(
-            r.spec.n, r.model == "sporadic" ? r.c1 : r.c2);
-        delay = std::make_unique<FixedDelay>(r.d2);
-      } else {
-        const Duration lo = r.c1.is_positive() ? r.c1 : r.c2 / 8;
-        sched = std::make_unique<UniformGapScheduler>(
-            lo, r.model == "sporadic" ? r.c1 * 8 : r.c2, r.seed);
-        delay = std::make_unique<UniformRandomDelay>(r.d1, r.d2, r.seed + 1);
-      }
-      const MpmOutcome out =
-          run_mpm_once(r.spec, constraints, *factory, *sched, *delay,
-                       MpmRunLimits{}, nullptr, shard.observer());
-      verdict = out.verdict;
-    } else {
-      const std::int32_t total = smm_total_processes(r.spec.n, r.spec.b);
-      const auto constraints = request_constraints(r, total);
-      const auto factory = make_smm_factory(r.model);
-      algorithm = factory->name();
-      std::unique_ptr<StepScheduler> sched;
-      if (r.model == "periodic") {
-        sched = std::make_unique<FixedPeriodScheduler>(constraints.periods);
-      } else if (r.adversary == "lockstep") {
-        sched = std::make_unique<FixedPeriodScheduler>(total, r.c2);
-      } else {
-        const Duration lo = r.c1.is_positive() ? r.c1 : r.c2 / 8;
-        sched = std::make_unique<UniformGapScheduler>(lo, r.c2, r.seed);
-      }
-      const SmmOutcome out =
-          run_smm_once(r.spec, constraints, *factory, *sched, SmmRunLimits{},
-                       nullptr, shard.observer());
-      verdict = out.verdict;
-    }
+    const Verdict verdict = run_single(r, nullptr, shard.observer()).verdict;
     std::ostringstream os;
     obs::JsonWriter w(os);
     w.begin_object();
@@ -848,7 +777,7 @@ Server::JobResult Server::compute_run(const Request& r) {
     w.field("substrate", r.substrate);
     w.field("model", r.model);
     w.field("adversary", r.adversary);
-    w.field("algorithm", algorithm);
+    w.field("algorithm", algorithm_name(r));
     w.field("s", r.spec.s);
     w.field("n", static_cast<std::int64_t>(r.spec.n));
     w.field("b", static_cast<std::int64_t>(r.spec.b));
@@ -884,17 +813,14 @@ Server::JobResult Server::compute_replay(const Request& r) {
     if (!trace) {
       res = JobResult{Status::kBadRequest, "bad trace: " + err};
     } else {
-      ReplayReport report;
-      if (r.substrate == "mpm") {
-        const auto constraints = request_constraints(r, r.spec.n);
-        const auto factory = make_mpm_factory(r.model);
-        report = replay_mpm(*trace, r.spec, constraints, *factory);
-      } else {
-        const std::int32_t total = smm_total_processes(r.spec.n, r.spec.b);
-        const auto constraints = request_constraints(r, total);
-        const auto factory = make_smm_factory(r.model);
-        report = replay_smm(*trace, r.spec, constraints, *factory);
-      }
+      const TimingConstraints constraints =
+          build_constraints(r, r.processes());
+      const ReplayReport report =
+          r.shared_memory()
+              ? replay_smm(*trace, r.spec, constraints,
+                           *make_smm_factory(r.model))
+              : replay_mpm(*trace, r.spec, constraints,
+                           *make_mpm_factory(r.model));
       std::ostringstream os;
       obs::JsonWriter w(os);
       w.begin_object();
@@ -923,20 +849,7 @@ Server::JobResult Server::compute_worst_case(const Request& r) {
   JobResult res;
   try {
     obs::ProfileScope scope(&local, obs::ProfilePhase::kServeExec);
-    std::string algorithm;
-    WorstCase wc;
-    if (r.substrate == "mpm") {
-      const auto constraints = request_constraints(r, r.spec.n);
-      const auto factory = make_mpm_factory(r.model);
-      algorithm = factory->name();
-      wc = mpm_worst_case(r.spec, constraints, *factory, 4, r.seed);
-    } else {
-      const std::int32_t total = smm_total_processes(r.spec.n, r.spec.b);
-      const auto constraints = request_constraints(r, total);
-      const auto factory = make_smm_factory(r.model);
-      algorithm = factory->name();
-      wc = smm_worst_case(r.spec, constraints, *factory, 4, r.seed);
-    }
+    const WorstCase wc = run_worst_case(r);
     std::ostringstream os;
     obs::JsonWriter w(os);
     w.begin_object();
@@ -944,7 +857,7 @@ Server::JobResult Server::compute_worst_case(const Request& r) {
     w.field("substrate", r.substrate);
     w.field("model", r.model);
     w.field("adversary", "worst");
-    w.field("algorithm", algorithm);
+    w.field("algorithm", algorithm_name(r));
     w.field("s", r.spec.s);
     w.field("n", static_cast<std::int64_t>(r.spec.n));
     w.field("b", static_cast<std::int64_t>(r.spec.b));
@@ -1010,30 +923,10 @@ void Server::execute_sweep(const Request& r, std::uint64_t digest) {
   // sweep it cannot stop.
   if (draining_.load()) sup.request_stop();
 
-  std::string algorithm;
   DegradationReport report;
   {
     obs::ProfileScope scope(&local, obs::ProfilePhase::kServeExec);
-    const std::vector<std::int32_t> crashes{0, 1, 2};
-    const std::vector<std::int32_t> percents{0, 5, 20};
-    if (r.substrate == "mpm") {
-      const auto constraints = request_constraints(r, r.spec.n);
-      const auto factory = make_mpm_factory(r.model);
-      algorithm = factory->name();
-      MpmRunLimits limits;
-      limits.max_steps = 150'000;  // same cutover as sesp_cli --degradation
-      report = mpm_degradation(r.spec, constraints, *factory, crashes,
-                               percents, r.seed, limits);
-    } else {
-      const std::int32_t total = smm_total_processes(r.spec.n, r.spec.b);
-      const auto constraints = request_constraints(r, total);
-      const auto factory = make_smm_factory(r.model);
-      algorithm = factory->name();
-      SmmRunLimits limits;
-      limits.max_steps = 150'000;
-      report = smm_degradation(r.spec, constraints, *factory, crashes,
-                               percents, r.seed, limits);
-    }
+    report = run_degradation(r);
   }
   recovery::Supervisor::install(prev);
   {
@@ -1058,14 +951,6 @@ void Server::execute_sweep(const Request& r, std::uint64_t digest) {
     return;
   }
 
-  // Report text identical (from the algorithm line on) to
-  //   sesp_cli --degradation --substrate=... --model=... --seed=...
-  std::ostringstream text;
-  text << "algorithm:   " << algorithm << "\n"
-       << report.to_string() << "solved/degraded/diagnosed: "
-       << report.count(RunOutcome::kSolved) << "/"
-       << report.count(RunOutcome::kDegraded) << "/"
-       << report.count(RunOutcome::kDiagnosed) << "\n";
   std::ostringstream os;
   obs::JsonWriter w(os);
   w.begin_object();
@@ -1074,14 +959,17 @@ void Server::execute_sweep(const Request& r, std::uint64_t digest) {
   w.field("op", "sweep");
   w.field("substrate", r.substrate);
   w.field("model", r.model);
-  w.field("algorithm", algorithm);
+  w.field("algorithm", report.algorithm);
   w.field("solved",
           static_cast<std::int64_t>(report.count(RunOutcome::kSolved)));
   w.field("degraded",
           static_cast<std::int64_t>(report.count(RunOutcome::kDegraded)));
   w.field("diagnosed",
           static_cast<std::int64_t>(report.count(RunOutcome::kDiagnosed)));
-  w.field("report", text.str());
+  // Report text identical (from the algorithm line on) to
+  //   sesp_cli --degradation --substrate=... --model=... --seed=...
+  w.field("report", "algorithm:   " + report.algorithm + "\n" +
+                        degradation_text(report));
   w.end_object();
   const std::string result = os.str();
   if (sup.journal() != nullptr) sup.journal()->append(kReportStage, 0, result);

@@ -16,14 +16,72 @@ namespace sesp {
 
 namespace {
 
-// One observation shard per sweep task, merged in task order after the
-// barrier — the deque pins the shards (Observer points into them).
-std::deque<obs::ObservationShard> make_shards(obs::Observer* parent,
-                                              std::size_t count) {
+// The one per-task frame of every sweep. Each task gets its own observation
+// shard (the deque pins them: Observer points into them), an exec.task
+// profile scope and a span named `span` in `category` with args(i) — built
+// only when a trace sink listens. compute(i, observer) returns the task's
+// payload, which runs through recovery::supervised_sweep (journal replay,
+// task policy, sharding); apply(i, payload) folds the decoded payload in
+// task order after the task's shard is merged into its parent.
+template <typename Args, typename Compute, typename Apply>
+void sweep(const std::string& stage, const std::string& span,
+           const char* category, std::size_t count, const Args& args,
+           const Compute& compute, const Apply& apply) {
+  obs::Observer* const parent = obs::default_observer();
   std::deque<obs::ObservationShard> shards;
   for (std::size_t i = 0; i < count; ++i) shards.emplace_back(parent);
-  return shards;
+  recovery::supervised_sweep(
+      stage, count,
+      [&](std::size_t i) {
+        obs::Observer* const o = shards[i].observer();
+        obs::ProfileScope exec_scope(o ? o->profiler : nullptr,
+                                     obs::ProfilePhase::kExecTask);
+        obs::Span task_span(o ? o->trace : nullptr, span, category,
+                            o && o->trace ? args(i) : std::string());
+        return compute(i, o);
+      },
+      [&](std::size_t i, const std::string& payload) {
+        shards[i].merge_into_parent();
+        apply(i, payload);
+      });
 }
+
+// The per-substrate half of every sweep: the simulator call, the process
+// count a schedule or fault plan spans, and whether the substrate carries
+// messages — MPM draws a delay strategy for each run and injects message
+// loss; shared memory has neither and injects write corruption instead.
+// The sweeps below are written once over this trait.
+struct MpmSubstrate {
+  using Factory = MpmAlgorithmFactory;
+  static constexpr const char* kName = "mpm";
+  static constexpr bool kMessages = true;
+  static std::int32_t processes(const ProblemSpec& spec) { return spec.n; }
+  static constexpr auto family = &mpm_worst_case_family;
+  static MpmRunResult run(const ProblemSpec& spec, const TimingConstraints& c,
+                          const Factory& factory, const Adversary& adv,
+                          const RunLimits& limits, Recording recording,
+                          FaultInjector* faults, obs::Observer* o) {
+    return MpmSimulator(spec, c, factory, *adv.sched, *adv.delay, faults, o)
+        .run(limits, recording);
+  }
+};
+
+struct SmmSubstrate {
+  using Factory = SmmAlgorithmFactory;
+  static constexpr const char* kName = "smm";
+  static constexpr bool kMessages = false;
+  static std::int32_t processes(const ProblemSpec& spec) {
+    return smm_total_processes(spec.n, spec.b);
+  }
+  static constexpr auto family = &smm_worst_case_family;
+  static SmmRunResult run(const ProblemSpec& spec, const TimingConstraints& c,
+                          const Factory& factory, const Adversary& adv,
+                          const RunLimits& limits, Recording recording,
+                          FaultInjector* faults, obs::Observer* o) {
+    return SmmSimulator(spec, c, factory, *adv.sched, faults, o)
+        .run(limits, recording);
+  }
+};
 
 // Everything the worst-case aggregate consumes from one run, flattened to
 // journal-codable fields: the sweeps fold *decoded* WorstSlots (fresh or
@@ -70,8 +128,8 @@ WorstSlot make_worst_slot(const std::string& label, const RunResult& run,
 // and identical up to recording, so the retry is observed only through its
 // verdict: its simulator instruments go to an inert observer, and the
 // verdict counters are recorded once either way.
-template <typename Member, typename Simulate>
-WorstSlot worst_slot(const Member& member, const ProblemSpec& spec,
+template <typename Simulate>
+WorstSlot worst_slot(const FamilyMember& member, const ProblemSpec& spec,
                      const TimingConstraints& constraints, obs::Observer* o,
                      const Simulate& simulate) {
   auto adversary = member.make();
@@ -164,283 +222,42 @@ void fold(WorstCase& wc, const WorstSlot& s) {
   if (s.gamma && wc.max_gamma < *s.gamma) wc.max_gamma = *s.gamma;
 }
 
-}  // namespace
-
-MpmOutcome run_mpm_once(const ProblemSpec& spec,
-                        const TimingConstraints& constraints,
-                        const MpmAlgorithmFactory& factory,
-                        StepScheduler& scheduler, DelayStrategy& delays,
-                        const MpmRunLimits& limits, FaultInjector* faults,
-                        obs::Observer* observer) {
-  MpmSimulator sim(spec, constraints, factory, scheduler, delays, faults,
-                   observer);
-  MpmOutcome out{sim.run(limits), Verdict{}};
-  out.verdict = verify(out.run.trace, spec, constraints, observer);
-  return out;
-}
-
-SmmOutcome run_smm_once(const ProblemSpec& spec,
-                        const TimingConstraints& constraints,
-                        const SmmAlgorithmFactory& factory,
-                        StepScheduler& scheduler, const SmmRunLimits& limits,
-                        FaultInjector* faults, obs::Observer* observer) {
-  SmmSimulator sim(spec, constraints, factory, scheduler, faults, observer);
-  SmmOutcome out{sim.run(limits), Verdict{}};
-  out.verdict = verify(out.run.trace, spec, constraints, observer);
-  return out;
-}
-
-P2pOutcome run_p2p_once(const ProblemSpec& spec,
-                        const TimingConstraints& constraints,
-                        const Topology& topology,
-                        const P2pAlgorithmFactory& factory,
-                        StepScheduler& scheduler, DelayStrategy& delays,
-                        const P2pRunLimits& limits, FaultInjector* faults,
-                        obs::Observer* observer) {
-  P2pSimulator sim(spec, constraints, topology, factory, scheduler, delays,
-                   faults, observer);
-  P2pOutcome out{sim.run(limits), Verdict{}};
-  out.verdict = verify(out.run.trace, spec, constraints, observer);
-  return out;
-}
-
-std::vector<MpmFamilyMember> mpm_worst_case_family(
-    const ProblemSpec& spec, const TimingConstraints& constraints,
-    std::int32_t random_runs, std::uint64_t seed) {
-  const std::int32_t n = spec.n;
-  const TimingConstraints& c = constraints;
-  std::vector<MpmFamilyMember> family;
-  // Each builder captures its parameters by value, so a member can be
-  // rebuilt fresh — RNG streams at their start — at any time.
-  auto add = [&family](std::string label, auto make_sched, auto make_delay) {
-    family.push_back(MpmFamilyMember{
-        std::move(label), [make_sched, make_delay] {
-          return MpmAdversary{make_sched(), make_delay()};
-        }});
-  };
-  const auto fixed = [](auto... args) {
-    return [=] { return std::make_unique<FixedPeriodScheduler>(args...); };
-  };
-  const auto fixed_delay = [](Duration d) {
-    return [=] { return std::make_unique<FixedDelay>(d); };
-  };
-  const auto uniform_delay = [](Duration lo, Duration hi, std::uint64_t s) {
-    return [=] { return std::make_unique<UniformRandomDelay>(lo, hi, s); };
-  };
-
-  switch (c.model) {
-    case TimingModel::kSynchronous:
-      add("lockstep", fixed(n, c.c2), fixed_delay(c.d2));
-      break;
-    case TimingModel::kPeriodic: {
-      add("periods/max-delay", fixed(c.periods), fixed_delay(c.d2));
-      add("periods/zero-delay", fixed(c.periods), fixed_delay(Duration(0)));
-      const Duration d2 = c.d2;
-      add("periods/straggler", fixed(c.periods), [d2] {
-        return std::make_unique<StragglerDelay>(0, Duration(0), d2);
-      });
-      for (std::int32_t r = 0; r < random_runs; ++r)
-        add("periods/random-delay#" + std::to_string(r), fixed(c.periods),
-            uniform_delay(Duration(0), c.d2, seed + 31 * r + 1));
-      break;
-    }
-    case TimingModel::kSemiSynchronous: {
-      add("all-slow/max-delay", fixed(n, c.c2), fixed_delay(c.d2));
-      add("all-fast/max-delay", fixed(n, c.c1), fixed_delay(c.d2));
-      const Duration c1 = c.c1, c2 = c.c2;
-      add("slow-one/max-delay",
-          [=] { return std::make_unique<SlowOneScheduler>(n, c1, 0, c2); },
-          fixed_delay(c.d2));
-      for (std::int32_t r = 0; r < random_runs; ++r) {
-        const std::uint64_t s = seed + 77 * r + 3;
-        add("random#" + std::to_string(r),
-            [=] { return std::make_unique<UniformGapScheduler>(c1, c2, s); },
-            uniform_delay(Duration(0), c.d2, seed + 77 * r + 4));
-      }
-      break;
-    }
-    case TimingModel::kSporadic: {
-      add("all-c1/max-delay", fixed(n, c.c1), fixed_delay(c.d2));
-      add("all-c1/min-delay", fixed(n, c.c1), fixed_delay(c.d1));
-      const Duration c1 = c.c1;
-      add("slow-one/max-delay",
-          [=] {
-            return std::make_unique<SlowOneScheduler>(n, c1, 0, c1 * 16);
-          },
-          fixed_delay(c.d2));
-      for (std::int32_t r = 0; r < random_runs; ++r) {
-        const std::uint64_t s = seed + 13 * r + 5;
-        add("bursty#" + std::to_string(r),
-            [=] { return std::make_unique<BurstyScheduler>(c1, 1, 8, 12, s); },
-            uniform_delay(c.d1, c.d2, seed + 13 * r + 6));
-      }
-      break;
-    }
-    case TimingModel::kAsynchronous: {
-      add("all-c2/max-delay", fixed(n, c.c2), fixed_delay(c.d2));
-      const Duration c2 = c.c2;
-      add("slow-one/max-delay",
-          [=] {
-            return std::make_unique<SlowOneScheduler>(n, c2 / 4, 0, c2);
-          },
-          fixed_delay(c.d2));
-      for (std::int32_t r = 0; r < random_runs; ++r) {
-        const std::uint64_t s = seed + 7 * r + 9;
-        add("random#" + std::to_string(r),
-            [=] {
-              return std::make_unique<UniformGapScheduler>(c2 / 16, c2, s);
-            },
-            uniform_delay(Duration(0), c.d2, seed + 7 * r + 10));
-      }
-      break;
-    }
-  }
-  return family;
-}
-
-std::vector<SmmFamilyMember> smm_worst_case_family(
-    const ProblemSpec& spec, const TimingConstraints& constraints,
-    std::int32_t random_runs, std::uint64_t seed) {
-  const std::int32_t total = smm_total_processes(spec.n, spec.b);
-  const TimingConstraints& c = constraints;
-  std::vector<SmmFamilyMember> family;
-  auto add = [&family](std::string label, auto make_sched) {
-    family.push_back(SmmFamilyMember{
-        std::move(label),
-        [make_sched] { return SmmAdversary{make_sched()}; }});
-  };
-  const auto fixed = [](auto... args) {
-    return [=] { return std::make_unique<FixedPeriodScheduler>(args...); };
-  };
-
-  switch (c.model) {
-    case TimingModel::kSynchronous:
-      add("lockstep", fixed(total, c.c2));
-      break;
-    case TimingModel::kPeriodic:
-      add("periods", fixed(c.periods));
-      break;
-    case TimingModel::kSemiSynchronous: {
-      add("all-slow", fixed(total, c.c2));
-      add("all-fast", fixed(total, c.c1));
-      const Duration c1 = c.c1, c2 = c.c2;
-      add("slow-one", [=] {
-        return std::make_unique<SlowOneScheduler>(total, c1, 0, c2);
-      });
-      for (std::int32_t r = 0; r < random_runs; ++r) {
-        const std::uint64_t s = seed + 41 * r + 11;
-        add("random#" + std::to_string(r),
-            [=] { return std::make_unique<UniformGapScheduler>(c1, c2, s); });
-      }
-      break;
-    }
-    case TimingModel::kSporadic:
-    case TimingModel::kAsynchronous: {
-      const Duration base =
-          c.model == TimingModel::kSporadic ? c.c1 : Duration(1);
-      add("all-base", fixed(total, base));
-      add("slow-one", [=] {
-        return std::make_unique<SlowOneScheduler>(total, base, 0, base * 16);
-      });
-      for (std::int32_t r = 0; r < random_runs; ++r) {
-        const std::uint64_t s = seed + 59 * r + 13;
-        add("bursty#" + std::to_string(r), [=] {
-          return std::make_unique<BurstyScheduler>(base, 1, 8, 12, s);
-        });
-      }
-      break;
-    }
-  }
-  return family;
-}
-
-WorstCase mpm_worst_case(const ProblemSpec& spec,
-                         const TimingConstraints& constraints,
-                         const MpmAlgorithmFactory& factory,
-                         std::int32_t random_runs, std::uint64_t seed,
-                         const MpmRunLimits& limits) {
+// Each member builds its own schedulers (and their RNG streams), so runs
+// are independent; results land in per-member slots and are folded in
+// family order, making the aggregate identical for every job count and —
+// via the WorstSlot payload round trip — for every interrupt/resume history
+// when a recovery::Supervisor is installed.
+template <typename S>
+WorstCase worst_case(const ProblemSpec& spec,
+                     const TimingConstraints& constraints,
+                     const typename S::Factory& factory,
+                     std::int32_t random_runs, std::uint64_t seed,
+                     const RunLimits& limits) {
   WorstCase wc;
-  const std::vector<MpmFamilyMember> family =
-      mpm_worst_case_family(spec, constraints, random_runs, seed);
-
-  // Each member builds its own schedulers (and their RNG streams), so runs
-  // are independent; results land in per-member slots and are folded in
-  // family order, making the aggregate identical for every job count and —
-  // via the WorstSlot payload round trip — for every interrupt/resume
-  // history when a recovery::Supervisor is installed.
-  obs::Observer* const parent = obs::default_observer();
-  std::deque<obs::ObservationShard> shards =
-      make_shards(parent, family.size());
-  const auto simulate = [&](MpmAdversary& adv, Recording recording,
+  const std::vector<FamilyMember> family =
+      S::family(spec, constraints, random_runs, seed);
+  const auto simulate = [&](const Adversary& adv, Recording recording,
                             obs::Observer* o) {
-    return MpmSimulator(spec, constraints, factory, *adv.sched, *adv.delay,
-                        nullptr, o)
-        .run(limits, recording);
+    return S::run(spec, constraints, factory, adv, limits, recording, nullptr,
+                  o);
   };
-  recovery::supervised_sweep(
-      "mpm_worst_case", family.size(),
+  const std::string stage = std::string(S::kName) + "_worst_case";
+  sweep(
+      stage, "adversary." + stage, "adversary", family.size(),
       [&](std::size_t i) {
-        const MpmFamilyMember& member = family[i];
-        obs::Observer* const o = shards[i].observer();
-        obs::ProfileScope exec_scope(o ? o->profiler : nullptr,
-                                     obs::ProfilePhase::kExecTask);
-        obs::Span span(
-            o ? o->trace : nullptr, "adversary.mpm_worst_case", "adversary",
-            o && o->trace
-                ? obs::args_object({obs::arg_str("label", member.label)})
-                : std::string());
+        return obs::args_object({obs::arg_str("label", family[i].label)});
+      },
+      [&](std::size_t i, obs::Observer* o) {
         return encode_worst_slot(
-            worst_slot(member, spec, constraints, o, simulate));
+            worst_slot(family[i], spec, constraints, o, simulate));
       },
       [&](std::size_t i, const std::string& payload) {
-        shards[i].merge_into_parent();
-        fold(wc, decode_worst_slot(payload, family[i].label));
-      });
-  return wc;
-}
-
-WorstCase smm_worst_case(const ProblemSpec& spec,
-                         const TimingConstraints& constraints,
-                         const SmmAlgorithmFactory& factory,
-                         std::int32_t random_runs, std::uint64_t seed,
-                         const SmmRunLimits& limits) {
-  WorstCase wc;
-  const std::vector<SmmFamilyMember> family =
-      smm_worst_case_family(spec, constraints, random_runs, seed);
-
-  obs::Observer* const parent = obs::default_observer();
-  std::deque<obs::ObservationShard> shards =
-      make_shards(parent, family.size());
-  const auto simulate = [&](SmmAdversary& adv, Recording recording,
-                            obs::Observer* o) {
-    return SmmSimulator(spec, constraints, factory, *adv.sched, nullptr, o)
-        .run(limits, recording);
-  };
-  recovery::supervised_sweep(
-      "smm_worst_case", family.size(),
-      [&](std::size_t i) {
-        const SmmFamilyMember& member = family[i];
-        obs::Observer* const o = shards[i].observer();
-        obs::ProfileScope exec_scope(o ? o->profiler : nullptr,
-                                     obs::ProfilePhase::kExecTask);
-        obs::Span span(
-            o ? o->trace : nullptr, "adversary.smm_worst_case", "adversary",
-            o && o->trace
-                ? obs::args_object({obs::arg_str("label", member.label)})
-                : std::string());
-        return encode_worst_slot(
-            worst_slot(member, spec, constraints, o, simulate));
-      },
-      [&](std::size_t i, const std::string& payload) {
-        shards[i].merge_into_parent();
         fold(wc, decode_worst_slot(payload, family[i].label));
       });
   return wc;
 }
 
 // --- Degradation sweeps -----------------------------------------------------
-
-namespace {
 
 // The canonical deterministic adversary of each model (its first worst-case
 // family member): degradation cells isolate the injected faults, so the
@@ -465,28 +282,21 @@ std::unique_ptr<StepScheduler> canonical_scheduler(
   return std::make_unique<FixedPeriodScheduler>(num_processes, Duration(1));
 }
 
-FaultPlan grid_plan(std::int32_t crashes, std::int32_t percent, bool smm,
+// k crash-stops spread over the first k of spec.n processes (on shared
+// memory too, whose total process count is larger) plus p% message loss or
+// write corruption.
+template <typename S>
+FaultPlan grid_plan(std::int32_t crashes, std::int32_t percent,
                     std::int32_t n, std::uint64_t seed) {
   FaultPlan plan;
   plan.seed = seed;
   for (std::int32_t i = 0; i < crashes && i < n; ++i)
     plan.crashes.push_back(CrashFault{i, 1 + i});
-  if (smm)
-    plan.writes.corrupt_percent = static_cast<std::uint32_t>(percent);
-  else
+  if (S::kMessages)
     plan.messages.drop_percent = static_cast<std::uint32_t>(percent);
+  else
+    plan.writes.corrupt_percent = static_cast<std::uint32_t>(percent);
   return plan;
-}
-
-void fill_cell(DegradationCell& cell, const Verdict& verdict,
-               const std::optional<SimError>& error, bool completed,
-               const FaultInjector& injector, const ProblemSpec& spec) {
-  cell.outcome = classify_outcome(error, verdict);
-  cell.sessions = verdict.sessions;
-  cell.completed = completed;
-  cell.admissible = verdict.admissible;
-  cell.injected = static_cast<std::int64_t>(injector.log().size());
-  cell.diagnostic = outcome_diagnostic(error, verdict, spec);
 }
 
 std::string encode_degradation_cell(const DegradationCell& cell) {
@@ -531,134 +341,57 @@ DegradationCell decode_degradation_cell(const std::string& payload,
   return cell;
 }
 
-}  // namespace
-
-std::int32_t DegradationReport::count(RunOutcome outcome) const {
-  std::int32_t c = 0;
-  for (const DegradationCell& cell : cells)
-    if (cell.outcome == outcome) ++c;
-  return c;
-}
-
-std::string DegradationReport::to_string() const {
-  std::ostringstream os;
-  os << substrate << " " << algorithm << " degradation:\n";
-  for (const DegradationCell& cell : cells) {
-    os << "  k=" << cell.crashes << " p=" << cell.fault_percent
-       << "%  " << sesp::to_string(cell.outcome)
-       << "  sessions=" << cell.sessions
-       << (cell.completed ? "  completed" : "  stopped")
-       << "  injected=" << cell.injected << "  [" << cell.diagnostic << "]\n";
-  }
-  return os.str();
-}
-
-DegradationReport mpm_degradation(const ProblemSpec& spec,
-                                  const TimingConstraints& constraints,
-                                  const MpmAlgorithmFactory& factory,
-                                  const std::vector<std::int32_t>& crash_counts,
-                                  const std::vector<std::int32_t>& loss_percents,
-                                  std::uint64_t seed,
-                                  const MpmRunLimits& limits) {
+// Grid cells are fully independent (per-cell injector and scheduler, both
+// seeded by the cell's own (k, p)); the cell list fixes the order.
+template <typename S>
+DegradationReport degradation(const ProblemSpec& spec,
+                              const TimingConstraints& constraints,
+                              const typename S::Factory& factory,
+                              const std::vector<std::int32_t>& crash_counts,
+                              const std::vector<std::int32_t>& percents,
+                              std::uint64_t seed, const RunLimits& limits) {
   DegradationReport report;
   report.algorithm = factory.name();
-  report.substrate = "mpm";
-  // Grid cells are fully independent (per-cell injector and scheduler, both
-  // seeded by the cell's own (k, p)); the cell list fixes the order.
+  report.substrate = S::kName;
   struct Cell {
     std::int32_t k;
     std::int32_t p;
   };
   std::vector<Cell> grid;
   for (const std::int32_t k : crash_counts)
-    for (const std::int32_t p : loss_percents) grid.push_back(Cell{k, p});
-  obs::Observer* const parent = obs::default_observer();
-  std::deque<obs::ObservationShard> shards = make_shards(parent, grid.size());
+    for (const std::int32_t p : percents) grid.push_back(Cell{k, p});
   report.cells.resize(grid.size());
-  recovery::supervised_sweep(
-      "mpm_degradation", grid.size(),
+  sweep(
+      std::string(S::kName) + "_degradation",
+      "degradation." + std::string(S::kName) + "_cell", "sim", grid.size(),
       [&](std::size_t i) {
-        const std::int32_t k = grid[i].k;
-        const std::int32_t p = grid[i].p;
-        obs::Observer* const o = shards[i].observer();
-        obs::ProfileScope exec_scope(o ? o->profiler : nullptr,
-                                     obs::ProfilePhase::kExecTask);
-        obs::Span span(o ? o->trace : nullptr, "degradation.mpm_cell", "sim",
-                       o && o->trace
-                           ? obs::args_object({obs::arg_int("crashes", k),
-                                               obs::arg_int("percent", p)})
-                           : std::string());
-        FaultInjector injector(grid_plan(
-            k, p, false, spec.n, seed + 131 * static_cast<std::uint64_t>(k) +
-                                     static_cast<std::uint64_t>(p)));
-        auto sched = canonical_scheduler(constraints, spec.n);
-        FixedDelay delay(constraints.d2);
-        const MpmOutcome out = run_mpm_once(spec, constraints, factory,
-                                            *sched, delay, limits, &injector,
-                                            o);
+        return obs::args_object({obs::arg_int("crashes", grid[i].k),
+                                 obs::arg_int("percent", grid[i].p)});
+      },
+      [&](std::size_t i, obs::Observer* o) {
+        const auto [k, p] = grid[i];
+        FaultInjector injector(grid_plan<S>(
+            k, p, spec.n, seed + 131 * static_cast<std::uint64_t>(k) +
+                              static_cast<std::uint64_t>(p)));
+        Adversary adv{canonical_scheduler(constraints, S::processes(spec)),
+                      nullptr};
+        if (S::kMessages)
+          adv.delay = std::make_unique<FixedDelay>(constraints.d2);
+        const auto run = S::run(spec, constraints, factory, adv, limits,
+                                Recording::kTrace, &injector, o);
+        const Verdict verdict = verify(run.trace, spec, constraints, o);
         DegradationCell cell;
         cell.crashes = k;
         cell.fault_percent = p;
-        fill_cell(cell, out.verdict, out.run.error, out.run.completed,
-                  injector, spec);
+        cell.outcome = classify_outcome(run.error, verdict);
+        cell.sessions = verdict.sessions;
+        cell.completed = run.completed;
+        cell.admissible = verdict.admissible;
+        cell.injected = static_cast<std::int64_t>(injector.log().size());
+        cell.diagnostic = outcome_diagnostic(run.error, verdict, spec);
         return encode_degradation_cell(cell);
       },
       [&](std::size_t i, const std::string& payload) {
-        shards[i].merge_into_parent();
-        report.cells[i] =
-            decode_degradation_cell(payload, grid[i].k, grid[i].p);
-      });
-  return report;
-}
-
-DegradationReport smm_degradation(
-    const ProblemSpec& spec, const TimingConstraints& constraints,
-    const SmmAlgorithmFactory& factory,
-    const std::vector<std::int32_t>& crash_counts,
-    const std::vector<std::int32_t>& corrupt_percents, std::uint64_t seed,
-    const SmmRunLimits& limits) {
-  DegradationReport report;
-  report.algorithm = factory.name();
-  report.substrate = "smm";
-  const std::int32_t total = smm_total_processes(spec.n, spec.b);
-  struct Cell {
-    std::int32_t k;
-    std::int32_t p;
-  };
-  std::vector<Cell> grid;
-  for (const std::int32_t k : crash_counts)
-    for (const std::int32_t p : corrupt_percents) grid.push_back(Cell{k, p});
-  obs::Observer* const parent = obs::default_observer();
-  std::deque<obs::ObservationShard> shards = make_shards(parent, grid.size());
-  report.cells.resize(grid.size());
-  recovery::supervised_sweep(
-      "smm_degradation", grid.size(),
-      [&](std::size_t i) {
-        const std::int32_t k = grid[i].k;
-        const std::int32_t p = grid[i].p;
-        obs::Observer* const o = shards[i].observer();
-        obs::ProfileScope exec_scope(o ? o->profiler : nullptr,
-                                     obs::ProfilePhase::kExecTask);
-        obs::Span span(o ? o->trace : nullptr, "degradation.smm_cell", "sim",
-                       o && o->trace
-                           ? obs::args_object({obs::arg_int("crashes", k),
-                                               obs::arg_int("percent", p)})
-                           : std::string());
-        FaultInjector injector(grid_plan(
-            k, p, true, spec.n, seed + 131 * static_cast<std::uint64_t>(k) +
-                                    static_cast<std::uint64_t>(p)));
-        auto sched = canonical_scheduler(constraints, total);
-        const SmmOutcome out = run_smm_once(spec, constraints, factory,
-                                            *sched, limits, &injector, o);
-        DegradationCell cell;
-        cell.crashes = k;
-        cell.fault_percent = p;
-        fill_cell(cell, out.verdict, out.run.error, out.run.completed,
-                  injector, spec);
-        return encode_degradation_cell(cell);
-      },
-      [&](std::size_t i, const std::string& payload) {
-        shards[i].merge_into_parent();
         report.cells[i] =
             decode_degradation_cell(payload, grid[i].k, grid[i].p);
       });
@@ -666,8 +399,6 @@ DegradationReport smm_degradation(
 }
 
 // --- Chaos sweeps -----------------------------------------------------------
-
-namespace {
 
 // Per-run classification produced inside the sweep tasks and folded in run
 // order afterwards.
@@ -775,88 +506,309 @@ Duration chaos_gap_hi(const TimingConstraints& c) {
   return lo < c.c2 ? c.c2 : lo * 4;
 }
 
-}  // namespace
-
-ChaosReport mpm_chaos_sweep(const ProblemSpec& spec,
-                            const TimingConstraints& constraints,
-                            const MpmAlgorithmFactory& factory,
-                            std::int32_t runs, std::uint64_t seed,
-                            const MpmRunLimits& limits) {
+// Run r draws its schedule, its MPM delays and its fault plan (over the
+// substrate's whole process count) from seed + r's own stream.
+template <typename S>
+ChaosReport chaos(const ProblemSpec& spec, const TimingConstraints& constraints,
+                  const typename S::Factory& factory, std::int32_t runs,
+                  std::uint64_t seed, const RunLimits& limits) {
   const std::size_t count = runs > 0 ? static_cast<std::size_t>(runs) : 0;
   const Duration lo = chaos_gap_lo(constraints);
   const Duration hi = chaos_gap_hi(constraints);
   const Duration dmax =
       constraints.d2.is_positive() ? constraints.d2 : Duration(4);
-  obs::Observer* const parent = obs::default_observer();
-  std::deque<obs::ObservationShard> shards = make_shards(parent, count);
+  const auto run_seed = [seed](std::size_t i) {
+    return seed + 2654435761ULL * i;
+  };
   ChaosReport report;
-  recovery::supervised_sweep(
-      "mpm_chaos", count,
+  sweep(
+      std::string(S::kName) + "_chaos",
+      "chaos." + std::string(S::kName) + "_run", "sim", count,
       [&](std::size_t i) {
-        const std::uint64_t run_seed = seed + 2654435761ULL * i;
-        obs::Observer* const o = shards[i].observer();
-        obs::ProfileScope exec_scope(o ? o->profiler : nullptr,
-                                     obs::ProfilePhase::kExecTask);
-        obs::Span span(
-            o ? o->trace : nullptr, "chaos.mpm_run", "sim",
-            o && o->trace
-                ? obs::args_object({obs::arg_int(
-                      "seed", static_cast<std::int64_t>(run_seed))})
-                : std::string());
-        FaultInjector injector(FaultPlan::random(run_seed, spec.n));
-        UniformGapScheduler sched(lo, hi, run_seed + 1);
-        UniformRandomDelay delay(Duration(0), dmax, run_seed + 2);
-        const MpmOutcome out = run_mpm_once(spec, constraints, factory, sched,
-                                            delay, limits, &injector, o);
-        return encode_chaos_run(classify_chaos(out.run, out.verdict,
-                                               run_seed));
+        return obs::args_object(
+            {obs::arg_int("seed", static_cast<std::int64_t>(run_seed(i)))});
+      },
+      [&](std::size_t i, obs::Observer* o) {
+        const std::uint64_t rs = run_seed(i);
+        FaultInjector injector(FaultPlan::random(rs, S::processes(spec)));
+        Adversary adv{std::make_unique<UniformGapScheduler>(lo, hi, rs + 1),
+                      nullptr};
+        if (S::kMessages)
+          adv.delay =
+              std::make_unique<UniformRandomDelay>(Duration(0), dmax, rs + 2);
+        const auto run = S::run(spec, constraints, factory, adv, limits,
+                                Recording::kTrace, &injector, o);
+        return encode_chaos_run(
+            classify_chaos(run, verify(run.trace, spec, constraints, o), rs));
       },
       [&](std::size_t i, const std::string& payload) {
-        shards[i].merge_into_parent();
-        fold_chaos(report,
-                   decode_chaos_run(payload, seed + 2654435761ULL * i));
+        fold_chaos(report, decode_chaos_run(payload, run_seed(i)));
       });
   return report;
+}
+
+}  // namespace
+
+MpmOutcome run_mpm_once(const ProblemSpec& spec,
+                        const TimingConstraints& constraints,
+                        const MpmAlgorithmFactory& factory,
+                        StepScheduler& scheduler, DelayStrategy& delays,
+                        const RunLimits& limits, FaultInjector* faults,
+                        obs::Observer* observer) {
+  MpmSimulator sim(spec, constraints, factory, scheduler, delays, faults,
+                   observer);
+  MpmOutcome out{sim.run(limits), Verdict{}};
+  out.verdict = verify(out.run.trace, spec, constraints, observer);
+  return out;
+}
+
+SmmOutcome run_smm_once(const ProblemSpec& spec,
+                        const TimingConstraints& constraints,
+                        const SmmAlgorithmFactory& factory,
+                        StepScheduler& scheduler, const RunLimits& limits,
+                        FaultInjector* faults, obs::Observer* observer) {
+  SmmSimulator sim(spec, constraints, factory, scheduler, faults, observer);
+  SmmOutcome out{sim.run(limits), Verdict{}};
+  out.verdict = verify(out.run.trace, spec, constraints, observer);
+  return out;
+}
+
+P2pOutcome run_p2p_once(const ProblemSpec& spec,
+                        const TimingConstraints& constraints,
+                        const Topology& topology,
+                        const P2pAlgorithmFactory& factory,
+                        StepScheduler& scheduler, DelayStrategy& delays,
+                        const RunLimits& limits, FaultInjector* faults,
+                        obs::Observer* observer) {
+  P2pSimulator sim(spec, constraints, topology, factory, scheduler, delays,
+                   faults, observer);
+  P2pOutcome out{sim.run(limits), Verdict{}};
+  out.verdict = verify(out.run.trace, spec, constraints, observer);
+  return out;
+}
+
+std::vector<FamilyMember> mpm_worst_case_family(
+    const ProblemSpec& spec, const TimingConstraints& constraints,
+    std::int32_t random_runs, std::uint64_t seed) {
+  const std::int32_t n = spec.n;
+  const TimingConstraints& c = constraints;
+  std::vector<FamilyMember> family;
+  // Each builder captures its parameters by value, so a member can be
+  // rebuilt fresh — RNG streams at their start — at any time.
+  auto add = [&family](std::string label, auto make_sched, auto make_delay) {
+    family.push_back(FamilyMember{
+        std::move(label), [make_sched, make_delay] {
+          return Adversary{make_sched(), make_delay()};
+        }});
+  };
+  const auto fixed = [](auto... args) {
+    return [=] { return std::make_unique<FixedPeriodScheduler>(args...); };
+  };
+  const auto fixed_delay = [](Duration d) {
+    return [=] { return std::make_unique<FixedDelay>(d); };
+  };
+  const auto uniform_delay = [](Duration lo, Duration hi, std::uint64_t s) {
+    return [=] { return std::make_unique<UniformRandomDelay>(lo, hi, s); };
+  };
+
+  switch (c.model) {
+    case TimingModel::kSynchronous:
+      add("lockstep", fixed(n, c.c2), fixed_delay(c.d2));
+      break;
+    case TimingModel::kPeriodic: {
+      add("periods/max-delay", fixed(c.periods), fixed_delay(c.d2));
+      add("periods/zero-delay", fixed(c.periods), fixed_delay(Duration(0)));
+      const Duration d2 = c.d2;
+      add("periods/straggler", fixed(c.periods), [d2] {
+        return std::make_unique<StragglerDelay>(0, Duration(0), d2);
+      });
+      for (std::int32_t r = 0; r < random_runs; ++r)
+        add("periods/random-delay#" + std::to_string(r), fixed(c.periods),
+            uniform_delay(Duration(0), c.d2, seed + 31 * r + 1));
+      break;
+    }
+    case TimingModel::kSemiSynchronous: {
+      add("all-slow/max-delay", fixed(n, c.c2), fixed_delay(c.d2));
+      add("all-fast/max-delay", fixed(n, c.c1), fixed_delay(c.d2));
+      const Duration c1 = c.c1, c2 = c.c2;
+      add("slow-one/max-delay",
+          [=] { return std::make_unique<SlowOneScheduler>(n, c1, 0, c2); },
+          fixed_delay(c.d2));
+      for (std::int32_t r = 0; r < random_runs; ++r) {
+        const std::uint64_t s = seed + 77 * r + 3;
+        add("random#" + std::to_string(r),
+            [=] { return std::make_unique<UniformGapScheduler>(c1, c2, s); },
+            uniform_delay(Duration(0), c.d2, seed + 77 * r + 4));
+      }
+      break;
+    }
+    case TimingModel::kSporadic: {
+      add("all-c1/max-delay", fixed(n, c.c1), fixed_delay(c.d2));
+      add("all-c1/min-delay", fixed(n, c.c1), fixed_delay(c.d1));
+      const Duration c1 = c.c1;
+      add("slow-one/max-delay",
+          [=] {
+            return std::make_unique<SlowOneScheduler>(n, c1, 0, c1 * 16);
+          },
+          fixed_delay(c.d2));
+      for (std::int32_t r = 0; r < random_runs; ++r) {
+        const std::uint64_t s = seed + 13 * r + 5;
+        add("bursty#" + std::to_string(r),
+            [=] { return std::make_unique<BurstyScheduler>(c1, 1, 8, 12, s); },
+            uniform_delay(c.d1, c.d2, seed + 13 * r + 6));
+      }
+      break;
+    }
+    case TimingModel::kAsynchronous: {
+      add("all-c2/max-delay", fixed(n, c.c2), fixed_delay(c.d2));
+      const Duration c2 = c.c2;
+      add("slow-one/max-delay",
+          [=] {
+            return std::make_unique<SlowOneScheduler>(n, c2 / 4, 0, c2);
+          },
+          fixed_delay(c.d2));
+      for (std::int32_t r = 0; r < random_runs; ++r) {
+        const std::uint64_t s = seed + 7 * r + 9;
+        add("random#" + std::to_string(r),
+            [=] {
+              return std::make_unique<UniformGapScheduler>(c2 / 16, c2, s);
+            },
+            uniform_delay(Duration(0), c.d2, seed + 7 * r + 10));
+      }
+      break;
+    }
+  }
+  return family;
+}
+
+std::vector<FamilyMember> smm_worst_case_family(
+    const ProblemSpec& spec, const TimingConstraints& constraints,
+    std::int32_t random_runs, std::uint64_t seed) {
+  const std::int32_t total = smm_total_processes(spec.n, spec.b);
+  const TimingConstraints& c = constraints;
+  std::vector<FamilyMember> family;
+  auto add = [&family](std::string label, auto make_sched) {
+    family.push_back(FamilyMember{
+        std::move(label),
+        [make_sched] { return Adversary{make_sched(), nullptr}; }});
+  };
+  const auto fixed = [](auto... args) {
+    return [=] { return std::make_unique<FixedPeriodScheduler>(args...); };
+  };
+
+  switch (c.model) {
+    case TimingModel::kSynchronous:
+      add("lockstep", fixed(total, c.c2));
+      break;
+    case TimingModel::kPeriodic:
+      add("periods", fixed(c.periods));
+      break;
+    case TimingModel::kSemiSynchronous: {
+      add("all-slow", fixed(total, c.c2));
+      add("all-fast", fixed(total, c.c1));
+      const Duration c1 = c.c1, c2 = c.c2;
+      add("slow-one", [=] {
+        return std::make_unique<SlowOneScheduler>(total, c1, 0, c2);
+      });
+      for (std::int32_t r = 0; r < random_runs; ++r) {
+        const std::uint64_t s = seed + 41 * r + 11;
+        add("random#" + std::to_string(r),
+            [=] { return std::make_unique<UniformGapScheduler>(c1, c2, s); });
+      }
+      break;
+    }
+    case TimingModel::kSporadic:
+    case TimingModel::kAsynchronous: {
+      const Duration base =
+          c.model == TimingModel::kSporadic ? c.c1 : Duration(1);
+      add("all-base", fixed(total, base));
+      add("slow-one", [=] {
+        return std::make_unique<SlowOneScheduler>(total, base, 0, base * 16);
+      });
+      for (std::int32_t r = 0; r < random_runs; ++r) {
+        const std::uint64_t s = seed + 59 * r + 13;
+        add("bursty#" + std::to_string(r), [=] {
+          return std::make_unique<BurstyScheduler>(base, 1, 8, 12, s);
+        });
+      }
+      break;
+    }
+  }
+  return family;
+}
+
+WorstCase mpm_worst_case(const ProblemSpec& spec,
+                         const TimingConstraints& constraints,
+                         const MpmAlgorithmFactory& factory,
+                         std::int32_t random_runs, std::uint64_t seed,
+                         const RunLimits& limits) {
+  return worst_case<MpmSubstrate>(spec, constraints, factory, random_runs,
+                                  seed, limits);
+}
+
+WorstCase smm_worst_case(const ProblemSpec& spec,
+                         const TimingConstraints& constraints,
+                         const SmmAlgorithmFactory& factory,
+                         std::int32_t random_runs, std::uint64_t seed,
+                         const RunLimits& limits) {
+  return worst_case<SmmSubstrate>(spec, constraints, factory, random_runs,
+                                  seed, limits);
+}
+
+std::int32_t DegradationReport::count(RunOutcome outcome) const {
+  std::int32_t c = 0;
+  for (const DegradationCell& cell : cells)
+    if (cell.outcome == outcome) ++c;
+  return c;
+}
+
+std::string DegradationReport::to_string() const {
+  std::ostringstream os;
+  os << substrate << " " << algorithm << " degradation:\n";
+  for (const DegradationCell& cell : cells) {
+    os << "  k=" << cell.crashes << " p=" << cell.fault_percent
+       << "%  " << sesp::to_string(cell.outcome)
+       << "  sessions=" << cell.sessions
+       << (cell.completed ? "  completed" : "  stopped")
+       << "  injected=" << cell.injected << "  [" << cell.diagnostic << "]\n";
+  }
+  return os.str();
+}
+
+DegradationReport mpm_degradation(
+    const ProblemSpec& spec, const TimingConstraints& constraints,
+    const MpmAlgorithmFactory& factory,
+    const std::vector<std::int32_t>& crash_counts,
+    const std::vector<std::int32_t>& loss_percents, std::uint64_t seed,
+    const RunLimits& limits) {
+  return degradation<MpmSubstrate>(spec, constraints, factory, crash_counts,
+                                   loss_percents, seed, limits);
+}
+
+DegradationReport smm_degradation(
+    const ProblemSpec& spec, const TimingConstraints& constraints,
+    const SmmAlgorithmFactory& factory,
+    const std::vector<std::int32_t>& crash_counts,
+    const std::vector<std::int32_t>& corrupt_percents, std::uint64_t seed,
+    const RunLimits& limits) {
+  return degradation<SmmSubstrate>(spec, constraints, factory, crash_counts,
+                                   corrupt_percents, seed, limits);
+}
+
+ChaosReport mpm_chaos_sweep(const ProblemSpec& spec,
+                            const TimingConstraints& constraints,
+                            const MpmAlgorithmFactory& factory,
+                            std::int32_t runs, std::uint64_t seed,
+                            const RunLimits& limits) {
+  return chaos<MpmSubstrate>(spec, constraints, factory, runs, seed, limits);
 }
 
 ChaosReport smm_chaos_sweep(const ProblemSpec& spec,
                             const TimingConstraints& constraints,
                             const SmmAlgorithmFactory& factory,
                             std::int32_t runs, std::uint64_t seed,
-                            const SmmRunLimits& limits) {
-  const std::size_t count = runs > 0 ? static_cast<std::size_t>(runs) : 0;
-  const Duration lo = chaos_gap_lo(constraints);
-  const Duration hi = chaos_gap_hi(constraints);
-  const std::int32_t total = smm_total_processes(spec.n, spec.b);
-  obs::Observer* const parent = obs::default_observer();
-  std::deque<obs::ObservationShard> shards = make_shards(parent, count);
-  ChaosReport report;
-  recovery::supervised_sweep(
-      "smm_chaos", count,
-      [&](std::size_t i) {
-        const std::uint64_t run_seed = seed + 2654435761ULL * i;
-        obs::Observer* const o = shards[i].observer();
-        obs::ProfileScope exec_scope(o ? o->profiler : nullptr,
-                                     obs::ProfilePhase::kExecTask);
-        obs::Span span(
-            o ? o->trace : nullptr, "chaos.smm_run", "sim",
-            o && o->trace
-                ? obs::args_object({obs::arg_int(
-                      "seed", static_cast<std::int64_t>(run_seed))})
-                : std::string());
-        FaultInjector injector(FaultPlan::random(run_seed, total));
-        UniformGapScheduler sched(lo, hi, run_seed + 1);
-        const SmmOutcome out = run_smm_once(spec, constraints, factory, sched,
-                                            limits, &injector, o);
-        return encode_chaos_run(classify_chaos(out.run, out.verdict,
-                                               run_seed));
-      },
-      [&](std::size_t i, const std::string& payload) {
-        shards[i].merge_into_parent();
-        fold_chaos(report,
-                   decode_chaos_run(payload, seed + 2654435761ULL * i));
-      });
-  return report;
+                            const RunLimits& limits) {
+  return chaos<SmmSubstrate>(spec, constraints, factory, runs, seed, limits);
 }
 
 }  // namespace sesp

@@ -1,26 +1,34 @@
 #pragma once
 
-// One-stop experiment driver used by tests, benches and examples: runs an
-// algorithm under an adversary, verifies the trace, and aggregates
-// worst-case measurements over the canonical adversary family of each
-// timing model (the schedule families the paper's arguments quantify over).
-// The degradation API additionally sweeps crash/loss grids and classifies
-// every run as solved / degraded / diagnosed — the robustness contract.
+// One-stop experiment driver used by tests, benches, examples and the
+// tools: runs an algorithm under an adversary, verifies the trace, and
+// aggregates worst-case measurements over the canonical adversary family of
+// each timing model (the schedule families the paper's arguments quantify
+// over). The degradation API additionally sweeps crash/loss grids and
+// classifies every run as solved / degraded / diagnosed — the robustness
+// contract — and the chaos API fuzzes seeded fault plans.
 //
-// Every sweep in this header (worst-case families, degradation grids, chaos
-// sweeps) fans its independent runs out over the exec::parallel_for_each
+// Each sweep kind (worst-case family, degradation grid, chaos) is one
+// template in experiment.cpp over a small substrate trait — the simulator
+// call, the process count, the fault kind, the MPM-only delay strategy —
+// and the mpm_/smm_ functions below are its two instantiations. Every task
+// of every sweep runs in the same frame: its own observation shard, an
+// exec.task profile scope, a span, and a payload through
+// recovery::supervised_sweep. Supporting a new substrate is one trait;
+// a new sweep kind is one template.
+//
+// Every sweep fans its independent runs out over the exec::parallel_for_each
 // pool and is bit-identical for every job count, including SESP_JOBS=1: the
 // run list is built up front, every run derives its RNG streams from its own
 // (seed, run-index) pair, results land in per-run slots, and observability
 // goes through per-run obs::ObservationShards merged in run order
 // (docs/parallelism.md).
 //
-// The same sweeps run under recovery::supervised_sweep: with a supervisor
-// installed (tool flags --journal/--resume) each slot's result is
-// checkpointed, deadline/retry task isolation applies, and an interrupted
-// sweep resumes to a byte-identical report; with a shard context attached
-// (--shard-dir/--worker-id) the slot space is additionally leased out in
-// ranges to cooperating worker processes (docs/robustness.md).
+// With a supervisor installed (tool flags --journal/--resume) each slot's
+// result is checkpointed, deadline/retry task isolation applies, and an
+// interrupted sweep resumes to a byte-identical report; with a shard context
+// attached (--shard-dir/--worker-id) the slot space is additionally leased
+// out in ranges to cooperating worker processes (docs/robustness.md).
 
 #include <cstdint>
 #include <functional>
@@ -61,7 +69,7 @@ MpmOutcome run_mpm_once(const ProblemSpec& spec,
                         const TimingConstraints& constraints,
                         const MpmAlgorithmFactory& factory,
                         StepScheduler& scheduler, DelayStrategy& delays,
-                        const MpmRunLimits& limits = MpmRunLimits{},
+                        const RunLimits& limits = RunLimits{},
                         FaultInjector* faults = nullptr,
                         obs::Observer* observer = nullptr);
 
@@ -69,7 +77,7 @@ SmmOutcome run_smm_once(const ProblemSpec& spec,
                         const TimingConstraints& constraints,
                         const SmmAlgorithmFactory& factory,
                         StepScheduler& scheduler,
-                        const SmmRunLimits& limits = SmmRunLimits{},
+                        const RunLimits& limits = RunLimits{},
                         FaultInjector* faults = nullptr,
                         obs::Observer* observer = nullptr);
 
@@ -78,7 +86,7 @@ P2pOutcome run_p2p_once(const ProblemSpec& spec,
                         const Topology& topology,
                         const P2pAlgorithmFactory& factory,
                         StepScheduler& scheduler, DelayStrategy& delays,
-                        const P2pRunLimits& limits = P2pRunLimits{},
+                        const RunLimits& limits = RunLimits{},
                         FaultInjector* faults = nullptr,
                         obs::Observer* observer = nullptr);
 
@@ -102,31 +110,26 @@ struct WorstCase {
   bool operator==(const WorstCase&) const = default;
 };
 
+// One adversary: a step scheduler plus, on the message-passing substrate,
+// a delay strategy (null on shared memory, which carries no messages).
+struct Adversary {
+  std::unique_ptr<StepScheduler> sched;
+  std::unique_ptr<DelayStrategy> delay;
+};
+
 // The canonical adversary family of constraints.model: the deterministic
 // worst cases (slowest periods, maximal delays, slow-one / straggler skews)
 // plus `random_runs` seeded random admissible schedules. Each member is a
 // label plus a builder that makes a fresh adversary — its RNG streams at
 // their start — so any member can be re-run on its own.
-struct MpmAdversary {
-  std::unique_ptr<StepScheduler> sched;
-  std::unique_ptr<DelayStrategy> delay;
-};
-struct MpmFamilyMember {
+struct FamilyMember {
   std::string label;
-  std::function<MpmAdversary()> make;
+  std::function<Adversary()> make;
 };
-std::vector<MpmFamilyMember> mpm_worst_case_family(
+std::vector<FamilyMember> mpm_worst_case_family(
     const ProblemSpec& spec, const TimingConstraints& constraints,
     std::int32_t random_runs, std::uint64_t seed);
-
-struct SmmAdversary {
-  std::unique_ptr<StepScheduler> sched;
-};
-struct SmmFamilyMember {
-  std::string label;
-  std::function<SmmAdversary()> make;
-};
-std::vector<SmmFamilyMember> smm_worst_case_family(
+std::vector<FamilyMember> smm_worst_case_family(
     const ProblemSpec& spec, const TimingConstraints& constraints,
     std::int32_t random_runs, std::uint64_t seed);
 
@@ -140,14 +143,14 @@ WorstCase mpm_worst_case(const ProblemSpec& spec,
                          const MpmAlgorithmFactory& factory,
                          std::int32_t random_runs = 8,
                          std::uint64_t seed = 0x5e5510'1992ULL,
-                         const MpmRunLimits& limits = MpmRunLimits{});
+                         const RunLimits& limits = RunLimits{});
 
 WorstCase smm_worst_case(const ProblemSpec& spec,
                          const TimingConstraints& constraints,
                          const SmmAlgorithmFactory& factory,
                          std::int32_t random_runs = 8,
                          std::uint64_t seed = 0x5e5510'1992ULL,
-                         const SmmRunLimits& limits = SmmRunLimits{});
+                         const RunLimits& limits = RunLimits{});
 
 // --- Degradation sweeps -----------------------------------------------------
 //
@@ -188,7 +191,7 @@ DegradationReport mpm_degradation(
     const std::vector<std::int32_t>& crash_counts = {0, 1, 2},
     const std::vector<std::int32_t>& loss_percents = {0, 5, 20},
     std::uint64_t seed = 0x0FA17'1992ULL,
-    const MpmRunLimits& limits = MpmRunLimits{});
+    const RunLimits& limits = RunLimits{});
 
 DegradationReport smm_degradation(
     const ProblemSpec& spec, const TimingConstraints& constraints,
@@ -196,7 +199,7 @@ DegradationReport smm_degradation(
     const std::vector<std::int32_t>& crash_counts = {0, 1, 2},
     const std::vector<std::int32_t>& corrupt_percents = {0, 5, 20},
     std::uint64_t seed = 0x0FA17'1992ULL,
-    const SmmRunLimits& limits = SmmRunLimits{});
+    const RunLimits& limits = RunLimits{});
 
 // --- Chaos sweeps -----------------------------------------------------------
 //
@@ -225,13 +228,13 @@ ChaosReport mpm_chaos_sweep(const ProblemSpec& spec,
                             const MpmAlgorithmFactory& factory,
                             std::int32_t runs = 32,
                             std::uint64_t seed = 0xC4A05'1992ULL,
-                            const MpmRunLimits& limits = MpmRunLimits{});
+                            const RunLimits& limits = RunLimits{});
 
 ChaosReport smm_chaos_sweep(const ProblemSpec& spec,
                             const TimingConstraints& constraints,
                             const SmmAlgorithmFactory& factory,
                             std::int32_t runs = 32,
                             std::uint64_t seed = 0xC4A05'1992ULL,
-                            const SmmRunLimits& limits = SmmRunLimits{});
+                            const RunLimits& limits = RunLimits{});
 
 }  // namespace sesp

@@ -32,7 +32,7 @@ SmmSimulator::SmmSimulator(const ProblemSpec& spec,
       faults_(faults),
       observer_(observer) {}
 
-SmmRunResult SmmSimulator::run(const SmmRunLimits& limits,
+SmmRunResult SmmSimulator::run(const RunLimits& limits,
                                Recording recording) {
   return recording == Recording::kTrace
              ? run_as<Recording::kTrace>(limits)
@@ -40,7 +40,7 @@ SmmRunResult SmmSimulator::run(const SmmRunLimits& limits,
 }
 
 template <Recording kMode>
-SmmRunResult SmmSimulator::run_as(const SmmRunLimits& limits) {
+SmmRunResult SmmSimulator::run_as(const RunLimits& limits) {
   constexpr bool kRecord = kMode == Recording::kTrace;
   const std::int32_t n = spec_.n;
   obs::Observer* const o = obs::resolve(observer_);

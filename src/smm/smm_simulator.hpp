@@ -37,13 +37,6 @@
 
 namespace sesp {
 
-struct SmmRunLimits {
-  std::int64_t max_steps = 2'000'000;
-  Time max_time = Time(1'000'000'000);
-  // No-progress watchdog: maximum consecutive events at one model time.
-  std::int64_t max_stagnant_events = 100'000;
-};
-
 struct SmmRunResult {
   // The timed computation; empty for a Recording::kVerdictOnly run.
   TimedComputation trace;
@@ -80,12 +73,12 @@ class SmmSimulator {
   // digests (which only the trace carries): every step goes to an online
   // VerdictMonitor whose verdict the result carries. Every other observable
   // is identical to the default recording run (see MpmSimulator::run).
-  SmmRunResult run(const SmmRunLimits& limits = SmmRunLimits{},
+  SmmRunResult run(const RunLimits& limits = RunLimits{},
                    Recording recording = Recording::kTrace);
 
  private:
   template <Recording kMode>
-  SmmRunResult run_as(const SmmRunLimits& limits);
+  SmmRunResult run_as(const RunLimits& limits);
 
   ProblemSpec spec_;
   TimingConstraints constraints_;

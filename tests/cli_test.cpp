@@ -147,6 +147,18 @@ TEST(CliTest, InvalidTimingConstantsExitTwo) {
        "random: need c2 > 0 and c1 <= c2"},
       {"--model=semisync --adversary=lockstep --c1=0",
        "semi-synchronous: need c1 > 0"},
+      // A negative c1 would hand the semi-synchronous algorithms a negative
+      // step budget floor(c2/c1) + 1.
+      {"--model=semisync --adversary=lockstep --c1=-1",
+       "semi-synchronous: need c1 > 0"},
+      {"--model=semisync --adversary=random --c1=-1",
+       "semi-synchronous: need c1 > 0"},
+      {"--substrate=smm --model=semisync --adversary=lockstep --c1=-1",
+       "semi-synchronous: need c1 > 0"},
+      {"--substrate=smm --model=semisync --adversary=random --c1=-1",
+       "semi-synchronous: need c1 > 0"},
+      {"--substrate=smm --model=semisync --degradation --c1=-1",
+       "semi-synchronous: need c1 > 0"},
   };
   for (const auto& c : cases) {
     const auto r = run_command(kCli + " --s=3 --n=3 " + c.flags);
@@ -155,6 +167,18 @@ TEST(CliTest, InvalidTimingConstantsExitTwo) {
                             c.message),
               std::string::npos)
         << c.flags << "\n" << r.output;
+  }
+
+  // An empty instance is a usage error on every substrate; the first three
+  // aborted in the periodic constraints, the SMM tree and the lockstep
+  // scheduler.
+  for (const char* flags :
+       {"--model=periodic", "--substrate=smm", "--model=sync",
+        "--substrate=p2p"}) {
+    const auto r = run_command(kCli + " --s=3 --n=0 " + flags);
+    EXPECT_EQ(r.status, 2) << flags << "\n" << r.output;
+    EXPECT_NE(r.output.find("--n must be >= 1"), std::string::npos)
+        << flags << "\n" << r.output;
   }
 
   const auto with_d1 = run_command(

@@ -201,9 +201,9 @@ TEST(SweepDeterminism, ChaosSweepDigestsAreJobCountInvariant) {
       TimingConstraints::semi_synchronous(Duration(1), Duration(3));
   SemiSyncMpmFactory mpm_factory;
   SemiSyncSmmFactory smm_factory;
-  MpmRunLimits mpm_limits;
+  RunLimits mpm_limits;
   mpm_limits.max_steps = 20'000;
-  SmmRunLimits smm_limits;
+  RunLimits smm_limits;
   smm_limits.max_steps = 20'000;
 
   JobsGuard serial(1);

@@ -174,7 +174,7 @@ struct MpmFixture {
   // The communicating branch, so message faults have traffic to hit (the
   // step-counting branch sends nothing and trivially shrugs off loss).
   SemiSyncMpmFactory factory{SemiSyncStrategy::kCommunicate};
-  MpmRunLimits limits;
+  RunLimits limits;
 
   MpmFixture() { limits.max_steps = 30'000; }
 
@@ -296,7 +296,7 @@ struct SmmFixture {
   // Communicating branch: port knowledge flows through the broadcast tree,
   // so write corruption and relay crashes have propagation to break.
   SemiSyncSmmFactory factory{SmmSemiSyncStrategy::kCommunicate};
-  SmmRunLimits limits;
+  RunLimits limits;
 
   SmmFixture() { limits.max_steps = 30'000; }
 
@@ -367,7 +367,7 @@ struct P2pFixture {
   TimingConstraints constraints =
       TimingConstraints::asynchronous(Ratio(2), Ratio(4));
   P2pRoundsFactory factory;
-  P2pRunLimits limits;
+  RunLimits limits;
 
   P2pFixture() { limits.max_steps = 30'000; }
 
@@ -470,7 +470,7 @@ TEST(WorstCaseLimitTest, LimitHitAlwaysNamesAdversaryAndLimit) {
   const auto constraints =
       TimingConstraints::semi_synchronous(Ratio(1), Ratio(2), Ratio(4));
   SemiSyncMpmFactory factory;
-  MpmRunLimits tiny;
+  RunLimits tiny;
   tiny.max_steps = 5;  // every adversary trips the step budget
   const WorstCase wc =
       mpm_worst_case(spec, constraints, factory, 2, 1234, tiny);
@@ -490,7 +490,7 @@ TEST(DegradationTest, MpmGridClassifiesEveryCell) {
   const auto constraints =
       TimingConstraints::semi_synchronous(Ratio(1), Ratio(2), Ratio(4));
   SemiSyncMpmFactory factory;
-  MpmRunLimits limits;
+  RunLimits limits;
   limits.max_steps = 20'000;
   const DegradationReport report = mpm_degradation(
       spec, constraints, factory, {0, 1}, {0, 20}, 0x0FA17'1992ULL, limits);
@@ -518,7 +518,7 @@ TEST(DegradationTest, SmmGridClassifiesEveryCell) {
   const auto constraints =
       TimingConstraints::semi_synchronous(Ratio(1), Ratio(2));
   SemiSyncSmmFactory factory;
-  SmmRunLimits limits;
+  RunLimits limits;
   limits.max_steps = 20'000;
   const DegradationReport report = smm_degradation(
       spec, constraints, factory, {0, 1}, {0, 20}, 0x0FA17'1992ULL, limits);

@@ -175,7 +175,7 @@ TEST_P(FaultFuzzSeeds, MpmChaosAlwaysClassified) {
   SemiSyncMpmFactory factory;
   UniformGapScheduler sched(c1, c2, seed + 11);
   UniformRandomDelay delay(Duration(0), d2, seed + 12);
-  MpmRunLimits limits;
+  RunLimits limits;
   limits.max_steps = 20'000;
   const MpmOutcome out = run_mpm_once(spec, constraints, factory, sched,
                                       delay, limits, &injector);
@@ -194,7 +194,7 @@ TEST_P(FaultFuzzSeeds, SmmChaosAlwaysClassified) {
   FaultInjector injector(FaultPlan::random(seed, total));
   SemiSyncSmmFactory factory;
   UniformGapScheduler sched(c1, c2, seed + 13);
-  SmmRunLimits limits;
+  RunLimits limits;
   limits.max_steps = 20'000;
   const SmmOutcome out =
       run_smm_once(spec, constraints, factory, sched, limits, &injector);
@@ -215,7 +215,7 @@ TEST_P(FaultFuzzSeeds, P2pChaosAlwaysClassified) {
   P2pRoundsFactory factory;
   UniformGapScheduler sched(Duration(1, 2), c2, seed + 14);
   UniformRandomDelay delay(Duration(0), d2, seed + 15);
-  P2pRunLimits limits;
+  RunLimits limits;
   limits.max_steps = 20'000;
   const P2pOutcome out = run_p2p_once(spec, constraints, topo, factory, sched,
                                       delay, limits, &injector);

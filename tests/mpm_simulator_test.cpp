@@ -111,7 +111,7 @@ TEST(MpmSimulatorTest, RunLimitStopsNonTerminatingRun) {
   SyncMpmFactory factory;
   FixedPeriodScheduler sched(spec.n, Duration(1));
   FixedDelay delay(Duration(1));
-  MpmRunLimits limits;
+  RunLimits limits;
   limits.max_steps = 50;
   const MpmRunResult run =
       MpmSimulator(spec, constraints, factory, sched, delay).run(limits);

@@ -656,7 +656,7 @@ TEST(ObserverTest, ExperimentRunPopulatesMetricsOnlyWhenObserved) {
     FixedPeriodScheduler sched(spec.n, Duration(1));
     FixedDelay delay(Duration(5));
     const MpmOutcome out = run_mpm_once(spec, constraints, factory, sched,
-                                        delay, MpmRunLimits{}, nullptr,
+                                        delay, RunLimits{}, nullptr,
                                         &observer);
     EXPECT_TRUE(out.verdict.solves);
   }

@@ -672,7 +672,7 @@ TEST(KillResumeTest, ChaosSweepDigestIsByteIdentical) {
   const auto constraints = TimingConstraints::semi_synchronous(
       Duration(1), Duration(3), Duration(4));
   SemiSyncMpmFactory factory;
-  MpmRunLimits limits;
+  RunLimits limits;
   limits.max_steps = 20'000;
 
   JobsGuard serial(1);

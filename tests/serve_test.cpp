@@ -529,14 +529,14 @@ TEST(ServerTest, WorstCaseRepliesArePinnedAndMatchTheDrivers) {
     if (r.substrate == "mpm") {
       const SporadicMpmFactory factory;
       algorithm = factory.name();
-      wc = mpm_worst_case(r.spec, request_constraints(r, r.spec.n), factory,
+      wc = mpm_worst_case(r.spec, build_constraints(r, r.spec.n), factory,
                           4, r.seed);
     } else {
       const SemiSyncSmmFactory factory;
       algorithm = factory.name();
       wc = smm_worst_case(
           r.spec,
-          request_constraints(r, smm_total_processes(r.spec.n, r.spec.b)),
+          build_constraints(r, smm_total_processes(r.spec.n, r.spec.b)),
           factory, 4, r.seed);
     }
     const auto doc = obs::parse_json(*reply);

@@ -146,7 +146,7 @@ TEST(SimCoreEquiv, MpmFaultPlansReproduceByteIdenticalRuns) {
       FixedDelay delay{Duration(1)};
       FaultInjector faults(plan);
       return run_mpm_once(spec, constraints, *factory, sched, delay,
-                          MpmRunLimits{}, &faults);
+                          RunLimits{}, &faults);
     };
     const MpmOutcome a = once();
     const MpmOutcome b = once();
@@ -170,7 +170,7 @@ TEST(SimCoreEquiv, SmmFaultPlansReproduceByteIdenticalRuns) {
     const auto once = [&] {
       UniformGapScheduler sched(Ratio(1), Ratio(2), seed);
       FaultInjector faults(plan);
-      return run_smm_once(spec, constraints, *factory, sched, SmmRunLimits{},
+      return run_smm_once(spec, constraints, *factory, sched, RunLimits{},
                           &faults);
     };
     const SmmOutcome a = once();
@@ -491,14 +491,14 @@ WorstCase mpm_family_differential(const ProblemSpec& spec,
                                   const TimingConstraints& constraints,
                                   const MpmAlgorithmFactory& factory,
                                   std::uint64_t seed,
-                                  const MpmRunLimits& limits,
+                                  const RunLimits& limits,
                                   const std::string& where) {
   ReferenceFold ref;
-  for (const MpmFamilyMember& member :
+  for (const FamilyMember& member :
        mpm_worst_case_family(spec, constraints, 4, seed)) {
     const std::string at = where + " " + member.label;
     const auto run = [&](Recording recording) {
-      MpmAdversary adv = member.make();
+      Adversary adv = member.make();
       return MpmSimulator(spec, constraints, factory, *adv.sched, *adv.delay)
           .run(limits, recording);
     };
@@ -519,14 +519,14 @@ WorstCase smm_family_differential(const ProblemSpec& spec,
                                   const TimingConstraints& constraints,
                                   const SmmAlgorithmFactory& factory,
                                   std::uint64_t seed,
-                                  const SmmRunLimits& limits,
+                                  const RunLimits& limits,
                                   const std::string& where) {
   ReferenceFold ref;
-  for (const SmmFamilyMember& member :
+  for (const FamilyMember& member :
        smm_worst_case_family(spec, constraints, 4, seed)) {
     const std::string at = where + " " + member.label;
     const auto run = [&](Recording recording) {
-      SmmAdversary adv = member.make();
+      Adversary adv = member.make();
       return SmmSimulator(spec, constraints, factory, *adv.sched)
           .run(limits, recording);
     };
@@ -556,12 +556,12 @@ TEST(OnlineVerdict, EveryWorstCaseMemberMatchesPostHocVerification) {
         const auto mpm_c = cli_constraints(m.timing, size);
         EXPECT_EQ(mpm_worst_case(spec, mpm_c, *mpm_factory, 4, seed),
                   mpm_family_differential(spec, mpm_c, *mpm_factory, seed,
-                                          MpmRunLimits{}, "mpm " + where));
+                                          RunLimits{}, "mpm " + where));
         const auto smm_c = cli_constraints(
             m.timing, smm_total_processes(spec.n, spec.b));
         EXPECT_EQ(smm_worst_case(spec, smm_c, *smm_factory, 4, seed),
                   smm_family_differential(spec, smm_c, *smm_factory, seed,
-                                          SmmRunLimits{}, "smm " + where));
+                                          RunLimits{}, "smm " + where));
       }
     }
   }
@@ -576,7 +576,7 @@ TEST(OnlineVerdict, BrokenAlgorithmFailuresMatch) {
   ASSERT_TRUE(factory);
   const WorstCase wc = mpm_worst_case(spec, constraints, *factory, 4, 3);
   EXPECT_EQ(wc, mpm_family_differential(spec, constraints, *factory, 3,
-                                        MpmRunLimits{}, "broken-halfslack"));
+                                        RunLimits{}, "broken-halfslack"));
   EXPECT_FALSE(wc.all_solved);
   EXPECT_NE(wc.first_failure.find("solved=false"), std::string::npos)
       << wc.first_failure;
@@ -593,7 +593,7 @@ TEST(OnlineVerdict, PartialRunsMatchPostHocVerification) {
     for (const std::int64_t budget : {1, 3, 9}) {
       const std::string where = m.model + " max_steps=" +
                                 std::to_string(budget);
-      MpmRunLimits mpm_limits;
+      RunLimits mpm_limits;
       mpm_limits.max_steps = budget;
       const auto mpm_c = cli_constraints(m.timing, spec.n);
       const WorstCase mpm_wc =
@@ -601,7 +601,7 @@ TEST(OnlineVerdict, PartialRunsMatchPostHocVerification) {
       EXPECT_TRUE(mpm_wc.any_hit_limit) << where;
       EXPECT_EQ(mpm_wc, mpm_family_differential(spec, mpm_c, *mpm_factory, 7,
                                                 mpm_limits, "mpm " + where));
-      SmmRunLimits smm_limits;
+      RunLimits smm_limits;
       smm_limits.max_steps = budget;
       const auto smm_c =
           cli_constraints(m.timing, smm_total_processes(spec.n, spec.b));
@@ -642,7 +642,7 @@ TEST(OnlineVerdict, FaultInjectedRunsNeverClaimAProofTheCheckerRefutes) {
   for (std::size_t k = 0; k < plans.size(); ++k) {
     const FaultPlan& plan = plans[k];
     const std::string where = "plan " + plan.to_string();
-    MpmRunLimits mpm_limits;
+    RunLimits mpm_limits;
     mpm_limits.max_steps = 20'000;
     const auto mpm_run = [&](Recording recording) {
       UniformGapScheduler sched(Ratio(1), Ratio(2), 100 + k);
@@ -660,7 +660,7 @@ TEST(OnlineVerdict, FaultInjectedRunsNeverClaimAProofTheCheckerRefutes) {
                                mpm_c, "mpm " + where))
       ++refuted_mpm;
 
-    SmmRunLimits smm_limits;
+    RunLimits smm_limits;
     smm_limits.max_steps = 20'000;
     const auto smm_run = [&](Recording recording) {
       UniformGapScheduler sched(Ratio(1), Ratio(2), 300 + k);
@@ -693,7 +693,7 @@ TEST(OnlineVerdict, ForcedFallbackEqualsFullTraceVerification) {
     const auto factory = conformance::make_mpm_factory("sync");
     const WorstCase wc = mpm_worst_case(spec, constraints, *factory, 4, 1);
     EXPECT_EQ(wc, mpm_family_differential(spec, constraints, *factory, 1,
-                                          MpmRunLimits{}, "mpm fallback"));
+                                          RunLimits{}, "mpm fallback"));
     EXPECT_EQ(wc.first_failure,
               "lockstep: inadmissible (invalid constraints: need 0 <= d1 <= "
               "d2)");
@@ -704,7 +704,7 @@ TEST(OnlineVerdict, ForcedFallbackEqualsFullTraceVerification) {
     const auto factory = conformance::make_smm_factory("async");
     const WorstCase wc = smm_worst_case(spec, constraints, *factory, 4, 1);
     EXPECT_EQ(wc, smm_family_differential(spec, constraints, *factory, 1,
-                                          SmmRunLimits{}, "smm fallback"));
+                                          RunLimits{}, "smm fallback"));
     EXPECT_EQ(wc.first_failure,
               "all-base: inadmissible (invalid constraints: asynchronous: "
               "need c2 > 0 (MPM form))");

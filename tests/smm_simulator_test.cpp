@@ -117,7 +117,7 @@ TEST(SmmSimulatorTest, RunLimitGuards) {
   const auto constraints = TimingConstraints::synchronous(1);
   SyncSmmFactory factory;
   FixedPeriodScheduler sched(smm_total_processes(spec.n, spec.b), Duration(1));
-  SmmRunLimits limits;
+  RunLimits limits;
   limits.max_steps = 100;
   const SmmRunResult run =
       SmmSimulator(spec, constraints, factory, sched).run(limits);

@@ -24,37 +24,22 @@
 #include <vector>
 
 #include "adversary/certificate.hpp"
-#include "adversary/delay_strategies.hpp"
 #include "exec/jobs.hpp"
-#include "adversary/step_schedulers.hpp"
-#include "algorithms/mpm/async_alg.hpp"
-#include "algorithms/mpm/periodic_alg.hpp"
-#include "algorithms/mpm/semisync_alg.hpp"
-#include "algorithms/mpm/sporadic_alg.hpp"
-#include "algorithms/mpm/sync_alg.hpp"
 #include "algorithms/p2p/knowledge_algs.hpp"
-#include "algorithms/smm/async_alg.hpp"
-#include "algorithms/smm/periodic_alg.hpp"
-#include "algorithms/smm/semisync_alg.hpp"
-#include "algorithms/smm/sync_alg.hpp"
-#include "analysis/bounds.hpp"
 #include "analysis/session_stats.hpp"
 #include "analysis/timeline.hpp"
 #include "model/trace_io.hpp"
 #include "p2p/p2p_simulator.hpp"
 #include "obs/json.hpp"
 #include "shard/lease.hpp"
-#include "sim/experiment.hpp"
+#include "sim/scenario.hpp"
 #include "cli_observation.hpp"
 #include "cli_recovery.hpp"
 
 namespace sesp {
 namespace {
 
-struct Options {
-  std::string substrate = "mpm";
-  std::string model = "semisync";
-  std::string adversary = "worst";
+struct Options : Scenario {
   std::string topology = "complete";
   std::string faults;
   std::string dump_trace;
@@ -62,9 +47,6 @@ struct Options {
   std::string journal_inspect;
   bool inspect_json = false;
   bool degradation = false;
-  ProblemSpec spec{3, 3, 2};
-  Ratio c1 = 1, c2 = 2, d1 = 0, d2 = 4;
-  std::uint64_t seed = 1992;
   bool print_trace = false;
   bool timeline = false;
   bool stats = false;
@@ -146,7 +128,13 @@ std::optional<Options> parse(int argc, char** argv) {
     else if (key == "--dump-trace") opt.dump_trace = value;
     else if (key == "--check-certificate") opt.check_certificate = value;
     else if (key == "--s") opt.spec.s = std::stoll(value);
-    else if (key == "--n") opt.spec.n = std::stoi(value);
+    else if (key == "--n") {
+      opt.spec.n = std::stoi(value);
+      if (opt.spec.n < 1) {
+        std::cerr << "--n must be >= 1\n";
+        return std::nullopt;
+      }
+    }
     else if (key == "--b") opt.spec.b = std::stoi(value);
     else if (key == "--seed") opt.seed = std::stoull(value);
     else if (key == "--jobs") {
@@ -187,34 +175,13 @@ std::optional<Options> parse(int argc, char** argv) {
   return opt;
 }
 
-TimingConstraints build_constraints(const Options& opt,
-                                    std::int32_t total_processes) {
-  if (opt.model == "sync") return TimingConstraints::synchronous(opt.c2, opt.d2);
-  if (opt.model == "periodic") {
-    // Heterogeneous periods: process i gets c1 + (c2-c1)*i/(total-1).
-    std::vector<Duration> periods;
-    for (std::int32_t i = 0; i < total_processes; ++i) {
-      const Ratio frac = total_processes > 1
-                             ? Ratio(i, std::max(total_processes - 1, 1))
-                             : Ratio(0);
-      periods.push_back(opt.c1 + (opt.c2 - opt.c1) * frac);
-    }
-    return TimingConstraints::periodic(periods, opt.d2);
-  }
-  if (opt.model == "semisync")
-    return TimingConstraints::semi_synchronous(opt.c1, opt.c2, opt.d2);
-  if (opt.model == "sporadic")
-    return TimingConstraints::sporadic(opt.c1, opt.d1, opt.d2);
-  return TimingConstraints::asynchronous(opt.c2, opt.d2);
-}
-
 // The timing constants the chosen run reads, checked as a usage error
 // before anything runs: the schedulers, delay strategies and algorithms
 // abort on invalid ones. A constant the run does not read is not checked,
 // so every input that ran before keeps its output byte for byte (--d1 >
 // --d2 outside the sporadic model, say, except under random MPM). What
-// each run reads, as run_mpm / run_smm / run_p2p and the drivers under
-// them build it:
+// each run reads, as run_scenario / run_p2p and the sim/scenario builders
+// under them make it:
 //  * degradation grids: the canonical schedule's step period (c1 in the
 //    sporadic model, c2 in the synchronous and semi-synchronous ones, the
 //    periods in the periodic one, none in the asynchronous one) and, in
@@ -227,17 +194,15 @@ TimingConstraints build_constraints(const Options& opt,
 //    random gap window [c1, c2] (c2/8 standing in for c1 <= 0; MPM
 //    sporadic: [c1, 8*c1]); and in MPM and p2p a fixed delay d2, or the
 //    random MPM delay window [d1, d2] as given;
-//  * the semi-synchronous MPM and SMM algorithms divide by c1.
-// Instances with n < 1 are left to the substrates' own checks.
+//  * the semi-synchronous MPM and SMM algorithms take a step budget of
+//    floor(c2/c1) + 1, so c1 must be positive.
+// parse() has already rejected n < 1 on every substrate.
 std::optional<std::string> timing_error(const Options& opt) {
-  if (opt.spec.n < 1) return std::nullopt;
-  const bool smm = opt.substrate == "smm";
+  const bool smm = opt.shared_memory();
   const bool p2p = opt.substrate == "p2p";
   const bool sporadic = opt.model == "sporadic";
-  const std::int32_t total =
-      smm ? smm_total_processes(opt.spec.n, opt.spec.b) : opt.spec.n;
-  TimingConstraints c = build_constraints(opt, total);
-  if (!p2p && opt.model == "semisync" && opt.c1.is_zero())
+  TimingConstraints c = build_constraints(opt, opt.processes());
+  if (!p2p && opt.model == "semisync" && !opt.c1.is_positive())
     return "semi-synchronous: need c1 > 0";
 
   const bool degradation = !p2p && opt.degradation;
@@ -464,145 +429,55 @@ int run_certificate_check(const Options& opt) {
   return check.valid ? 0 : 1;
 }
 
-int run_mpm(const Options& opt) {
-  const auto constraints = build_constraints(opt, opt.spec.n);
-  std::unique_ptr<MpmAlgorithmFactory> factory;
-  if (opt.model == "sync") factory = std::make_unique<SyncMpmFactory>();
-  else if (opt.model == "periodic")
-    factory = std::make_unique<PeriodicMpmFactory>();
-  else if (opt.model == "semisync")
-    factory = std::make_unique<SemiSyncMpmFactory>();
-  else if (opt.model == "sporadic")
-    factory = std::make_unique<SporadicMpmFactory>();
-  else factory = std::make_unique<AsyncMpmFactory>();
-  std::cout << "algorithm:   " << factory->name() << "\n";
+// What every MPM, SMM and p2p run prints after it: the verdict, the
+// requested trace dumps and, when faults were injected, the outcome line.
+int report_run(const Options& opt, const TimedComputation& trace,
+               const std::optional<SimError>& error, const Verdict& verdict,
+               const FaultInjector* injector) {
+  print_verdict(verdict, opt.spec);
+  maybe_dump(opt, trace);
+  if (injector)
+    return print_fault_outcome(*injector, error, verdict, opt.spec);
+  return verdict.solves ? 0 : 1;
+}
 
+// The MPM and SMM runs: the degradation grid, the worst-case family, or a
+// single run (any --faults force one). Faults span the substrate's whole
+// process count: n on MPM, the ports plus relays on SMM.
+int run_scenario(const Options& opt) {
+  std::cout << "algorithm:   " << algorithm_name(opt) << "\n";
   if (opt.degradation) {
-    MpmRunLimits limits;
-    limits.max_steps = 150'000;  // crash-induced livelocks cut over fast
-    const DegradationReport report =
-        mpm_degradation(opt.spec, constraints, *factory, {0, 1, 2},
-                        {0, 5, 20}, opt.seed, limits);
+    const DegradationReport report = run_degradation(opt);
     if (recovery::run_interrupted()) return 1;  // partial; finish() maps to 75
-    std::cout << report.to_string()
-              << "solved/degraded/diagnosed: "
-              << report.count(RunOutcome::kSolved) << "/"
-              << report.count(RunOutcome::kDegraded) << "/"
-              << report.count(RunOutcome::kDiagnosed) << "\n";
+    std::cout << degradation_text(report);
     return 0;
   }
 
   int status = 0;
-  const auto injector = make_injector(opt, opt.spec.n, &status);
+  const auto injector = make_injector(opt, opt.processes(), &status);
   if (status) return status;
 
   if (opt.adversary == "worst" && !injector) {
-    const WorstCase wc = mpm_worst_case(opt.spec, constraints, *factory, 4,
-                                        opt.seed);
+    const WorstCase wc = run_worst_case(opt);
     if (recovery::run_interrupted()) return 1;
     std::cout << "runs:        " << wc.runs << "\n"
-              << "max time:    " << wc.max_termination.to_string() << "\n"
-              << "min sessions:" << wc.min_sessions << "\n"
-              << "all solved:  " << (wc.all_solved ? "yes" : "no") << "\n";
+              << "max time:    " << wc.max_termination.to_string() << "\n";
+    if (opt.shared_memory())
+      std::cout << "max rounds:  " << wc.max_rounds << "\n";
+    else
+      std::cout << "min sessions:" << wc.min_sessions << "\n";
+    std::cout << "all solved:  " << (wc.all_solved ? "yes" : "no") << "\n";
     if (!wc.first_failure.empty())
       std::cout << "failure:     " << wc.first_failure << "\n";
     return wc.all_solved ? 0 : 1;
   }
 
-  std::unique_ptr<StepScheduler> sched;
-  std::unique_ptr<DelayStrategy> delay;
-  if (opt.model == "periodic") {
-    // The periodic model admits exactly one schedule per period vector.
-    sched = std::make_unique<FixedPeriodScheduler>(constraints.periods);
-    delay = std::make_unique<FixedDelay>(opt.d2);
-  } else if (opt.adversary == "lockstep") {
-    sched = std::make_unique<FixedPeriodScheduler>(
-        opt.spec.n, opt.model == "sporadic" ? opt.c1 : opt.c2);
-    delay = std::make_unique<FixedDelay>(opt.d2);
-  } else {
-    const Duration lo = opt.c1.is_positive() ? opt.c1 : opt.c2 / 8;
-    sched = std::make_unique<UniformGapScheduler>(
-        lo, opt.model == "sporadic" ? opt.c1 * 8 : opt.c2, opt.seed);
-    delay = std::make_unique<UniformRandomDelay>(opt.d1, opt.d2, opt.seed + 1);
-  }
-  const MpmOutcome out = run_mpm_once(opt.spec, constraints, *factory, *sched,
-                                      *delay, MpmRunLimits{}, injector.get());
-  print_verdict(out.verdict, opt.spec);
-  maybe_dump(opt, out.run.trace);
-  if (injector)
-    return print_fault_outcome(*injector, out.run.error, out.verdict,
-                               opt.spec);
-  return out.verdict.solves ? 0 : 1;
+  const SingleRun out = run_single(opt, injector.get());
+  return report_run(opt, out.trace, out.error, out.verdict, injector.get());
 }
 
-int run_smm(const Options& opt) {
-  const std::int32_t total = smm_total_processes(opt.spec.n, opt.spec.b);
-  const auto constraints = build_constraints(opt, total);
-  std::unique_ptr<SmmAlgorithmFactory> factory;
-  if (opt.model == "sync") factory = std::make_unique<SyncSmmFactory>();
-  else if (opt.model == "periodic")
-    factory = std::make_unique<PeriodicSmmFactory>();
-  else if (opt.model == "semisync")
-    factory = std::make_unique<SemiSyncSmmFactory>();
-  else factory = std::make_unique<AsyncSmmFactory>();
-  std::cout << "algorithm:   " << factory->name() << "\n";
-
-  if (opt.degradation) {
-    SmmRunLimits limits;
-    limits.max_steps = 150'000;
-    const DegradationReport report =
-        smm_degradation(opt.spec, constraints, *factory, {0, 1, 2},
-                        {0, 5, 20}, opt.seed, limits);
-    if (recovery::run_interrupted()) return 1;
-    std::cout << report.to_string()
-              << "solved/degraded/diagnosed: "
-              << report.count(RunOutcome::kSolved) << "/"
-              << report.count(RunOutcome::kDegraded) << "/"
-              << report.count(RunOutcome::kDiagnosed) << "\n";
-    return 0;
-  }
-
-  int status = 0;
-  const auto injector = make_injector(opt, total, &status);
-  if (status) return status;
-
-  if (opt.adversary == "worst" && !injector) {
-    const WorstCase wc = smm_worst_case(opt.spec, constraints, *factory, 4,
-                                        opt.seed);
-    if (recovery::run_interrupted()) return 1;
-    std::cout << "runs:        " << wc.runs << "\n"
-              << "max time:    " << wc.max_termination.to_string() << "\n"
-              << "max rounds:  " << wc.max_rounds << "\n"
-              << "all solved:  " << (wc.all_solved ? "yes" : "no") << "\n";
-    if (!wc.first_failure.empty())
-      std::cout << "failure:     " << wc.first_failure << "\n";
-    return wc.all_solved ? 0 : 1;
-  }
-
-  std::unique_ptr<StepScheduler> sched;
-  if (opt.model == "periodic") {
-    sched = std::make_unique<FixedPeriodScheduler>(constraints.periods);
-  } else if (opt.adversary == "lockstep") {
-    sched = std::make_unique<FixedPeriodScheduler>(total, opt.c2);
-  } else {
-    const Duration lo = opt.c1.is_positive() ? opt.c1 : opt.c2 / 8;
-    sched = std::make_unique<UniformGapScheduler>(lo, opt.c2, opt.seed);
-  }
-  const SmmOutcome out = run_smm_once(opt.spec, constraints, *factory, *sched,
-                                      SmmRunLimits{}, injector.get());
-  print_verdict(out.verdict, opt.spec);
-  maybe_dump(opt, out.run.trace);
-  if (injector)
-    return print_fault_outcome(*injector, out.run.error, out.verdict,
-                               opt.spec);
-  return out.verdict.solves ? 0 : 1;
-}
-
+// P2P runs once, under the lockstep adversary.
 int run_p2p(const Options& opt) {
-  if (opt.spec.n < 1) {
-    std::cerr << "p2p needs n >= 1\n";
-    return 2;
-  }
   Topology topo = Topology::complete(opt.spec.n);
   if (opt.topology == "ring") topo = Topology::ring(opt.spec.n);
   else if (opt.topology == "line") topo = Topology::line(opt.spec.n);
@@ -625,25 +500,17 @@ int run_p2p(const Options& opt) {
             << "topology:    " << topo.name()
             << " (diameter " << topo.diameter() << ")\n";
 
-  FixedPeriodScheduler sched(
-      opt.model == "periodic"
-          ? FixedPeriodScheduler(constraints.periods)
-          : FixedPeriodScheduler(opt.spec.n, opt.model == "sporadic"
-                                                 ? opt.c1
-                                                 : opt.c2));
-  FixedDelay delay(opt.d2);
+  Scenario lockstep = opt;
+  lockstep.adversary = "lockstep";
+  const Adversary adv = single_run_adversary(lockstep, constraints);
   int status = 0;
   const auto injector = make_injector(opt, opt.spec.n, &status);
   if (status) return status;
   const P2pOutcome out =
-      run_p2p_once(opt.spec, constraints, topo, *factory, sched, delay,
-                   P2pRunLimits{}, injector.get());
-  print_verdict(out.verdict, opt.spec);
-  maybe_dump(opt, out.run.trace);
-  if (injector)
-    return print_fault_outcome(*injector, out.run.error, out.verdict,
-                               opt.spec);
-  return out.verdict.solves ? 0 : 1;
+      run_p2p_once(opt.spec, constraints, topo, *factory, *adv.sched,
+                   *adv.delay, RunLimits{}, injector.get());
+  return report_run(opt, out.run.trace, out.run.error, out.verdict,
+                    injector.get());
 }
 
 }  // namespace
@@ -685,8 +552,8 @@ int main(int argc, char** argv) {
             << "instance:    s=" << opt->spec.s << " n=" << opt->spec.n
             << " b=" << opt->spec.b << "\n";
   int status = 2;
-  if (opt->substrate == "mpm") status = sesp::run_mpm(*opt);
-  else if (opt->substrate == "smm") status = sesp::run_smm(*opt);
+  if (opt->substrate == "mpm" || opt->substrate == "smm")
+    status = sesp::run_scenario(*opt);
   else if (opt->substrate == "p2p") status = sesp::run_p2p(*opt);
   else std::cerr << "unknown substrate\n";
   return recovery.finish(status);
