@@ -276,7 +276,8 @@ ExhaustiveResult explore_mpm(const ProblemSpec& spec,
           },
           [&](std::size_t, const std::string& payload) {
             result = decode_exhaustive(payload);
-          });
+          },
+          parent);
     } else {
       result = explore_subtree(spec, constraints, factory, gap_choices,
                                delay_choices, {}, 0, max_runs, parent);
@@ -307,7 +308,8 @@ ExhaustiveResult explore_mpm(const ProblemSpec& spec,
         [&](std::size_t b, const std::string& payload) {
           shards[b].merge_into_parent();
           subs[b] = decode_exhaustive(payload);
-        });
+        },
+        parent);
 
     // A drained interrupt leaves subtrees unexplored; return the partial
     // (complete=false, runs=0) aggregate — the tools never print it.

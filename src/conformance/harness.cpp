@@ -130,9 +130,11 @@ ConformanceReport run_conformance(const ConformanceConfig& config,
 
   // Several reused layers (replay, retimers, verify) observe through the
   // process default observer, which is single-writer; detach it while
-  // worker threads run and restore it for the serial phases. Results travel
-  // through the journal codec in both the plain and the supervised path, so
-  // a checkpointed campaign resumes to a byte-identical report.
+  // worker threads run and restore it for the serial phases. The
+  // supervisor records its recovery.* counters and instants into `parent`,
+  // from this thread. Results travel through the journal codec in both the
+  // plain and the supervised path, so a checkpointed campaign resumes to a
+  // byte-identical report.
   obs::Observer* saved = obs::set_default_observer(nullptr);
   recovery::supervised_sweep(
       "conformance_cases", total,
@@ -143,7 +145,7 @@ ConformanceReport run_conformance(const ConformanceConfig& config,
       [&](std::size_t i, const std::string& payload) {
         results[i] = decode_case_result(payload);
       },
-      config.jobs);
+      parent, config.jobs);
   obs::set_default_observer(saved);
 
   // A drained interrupt leaves pending cases unchecked; the partial report

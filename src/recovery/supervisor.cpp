@@ -90,8 +90,6 @@ Supervisor* Supervisor::install(Supervisor* supervisor) noexcept {
   return previous;
 }
 
-Supervisor* Supervisor::current() noexcept { return g_current; }
-
 SupervisorStats Supervisor::stats() const {
   SupervisorStats s;
   s.slots_replayed = slots_replayed_.load();
@@ -213,161 +211,79 @@ void Supervisor::for_each_slot(
     const std::string& stage_name, std::size_t count,
     const std::function<std::string(std::size_t)>& compute,
     const std::function<void(std::size_t, const std::string&)>& apply,
-    int jobs) {
+    obs::Observer* o, int jobs) {
   const std::string stage = unique_stage(stage_name);
-  if (shard_) {
-    shard_for_each_slot(stage, count, compute, apply, jobs);
-    return;
-  }
 
-  // Replay phase (serial): journaled slots recover their stored payloads.
-  // Nothing is applied yet — application happens in one pass, in global
-  // slot order, after the compute barrier, so a resumed run folds slots in
-  // exactly the order an uninterrupted run does even when journaled and
-  // freshly-computed slots interleave.
-  std::vector<std::optional<std::string>> payloads(count);
-  std::vector<std::size_t> pending;
-  std::int64_t replayed = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::string* stored =
-        journal_ ? journal_->lookup(stage, i) : nullptr;
-    if (stored) {
-      payloads[i].emplace(*stored);
-      ++replayed;
-    } else {
-      pending.push_back(i);
-    }
-  }
-  slots_replayed_.fetch_add(replayed);
-
-  // Compute phase: pending slots fan out over the pool under the task
-  // policy; each completed payload is journaled before the barrier so an
-  // interrupt (or crash) after this point never loses it.
-  const std::int64_t retries_before = retries_.load();
-  const std::int64_t deadline_before = deadline_exceeded_.load();
-  const std::int64_t failures_before = failures_.load();
-  exec::parallel_for_each(
-      pending.size(),
-      [&](std::size_t k) {
-        const std::size_t slot = pending[k];
-        if (interrupted()) return;
-        std::string payload = run_attempts(slot, compute);
-        if (journal_payload(stage, slot, payload))
-          payloads[slot].emplace(std::move(payload));
-      },
-      jobs);
-
-  // Apply phase (serial, global slot order): decoded state lands
-  // identically for every job count and every interrupt/resume history.
-  std::int64_t executed = 0, skipped = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (payloads[i]) apply(i, *payloads[i]);
-  }
-  for (const std::size_t slot : pending) {
-    if (payloads[slot]) {
-      ++executed;
-    } else {
-      ++skipped;
-    }
-  }
-  slots_executed_.fetch_add(executed);
-  slots_skipped_.fetch_add(skipped);
-
-  // Observability from the driving thread only (the shard rules of
-  // docs/observability.md): per-stage counters plus a journal.stage
-  // instant; journal.interrupt marks a drained stop.
-  obs::Observer* const o = obs::default_observer();
-  if (o && o->metrics) {
-    o->metrics->counter("recovery.slots.replayed").inc(replayed);
-    o->metrics->counter("recovery.slots.executed").inc(executed);
-    o->metrics->counter("recovery.slots.skipped").inc(skipped);
-    o->metrics->counter("recovery.task.retries")
-        .inc(retries_.load() - retries_before);
-    o->metrics->counter("recovery.task.deadline_exceeded")
-        .inc(deadline_exceeded_.load() - deadline_before);
-    o->metrics->counter("recovery.task.failures")
-        .inc(failures_.load() - failures_before);
-  }
-  if (o && o->trace) {
-    o->trace->instant("journal.stage", "recovery",
-                      obs::args_object(
-                          {obs::arg_str("stage", stage),
-                           obs::arg_int("replayed", replayed),
-                           obs::arg_int("executed", executed),
-                           obs::arg_int("skipped", skipped)}));
-    if (interrupted())
-      o->trace->instant("journal.interrupt", "recovery",
-                        obs::args_object({obs::arg_str("stage", stage)}));
-  }
-}
-
-void Supervisor::shard_for_each_slot(
-    const std::string& stage, std::size_t count,
-    const std::function<std::string(std::size_t)>& compute,
-    const std::function<void(std::size_t, const std::string&)>& apply,
-    int jobs) {
-  // Replay phase: our own journal first (a restarted worker resumes its
-  // completed slots for free); peers' checkpoints arrive via gather below.
+  // Replay phase (serial): slots in our own journal recover their stored
+  // payloads — a resumed run, or a restarted shard worker, recomputes none
+  // of them; a shard worker's peers' checkpoints arrive via gather below.
+  // Nothing is applied yet: application happens in one pass, in global slot
+  // order, after the last compute barrier, so journaled and fresh slots
+  // fold in exactly the order an uninterrupted run's do.
   std::vector<std::optional<std::string>> payloads(count);
   for (std::size_t i = 0; i < count; ++i) {
     const std::string* stored =
         journal_ ? journal_->lookup(stage, i) : nullptr;
     if (stored) payloads[i].emplace(*stored);
   }
-
   const auto missing_count = [&payloads] {
-    std::size_t m = 0;
+    std::int64_t m = 0;
     for (const auto& p : payloads)
       if (!p) ++m;
     return m;
   };
 
-  const std::uint64_t chunk = shard::shard_chunk(count);
   const std::int64_t retries_before = retries_.load();
   const std::int64_t deadline_before = deadline_exceeded_.load();
   const std::int64_t failures_before = failures_.load();
-  const std::int64_t claimed_before = shard_->leases_claimed();
-  const std::int64_t stolen_before = shard_->leases_stolen();
-  const std::int64_t expired_before = shard_->leases_expired_seen();
-  obs::Observer* const o = obs::default_observer();
+  const std::int64_t claimed_before = shard_ ? shard_->leases_claimed() : 0;
+  const std::int64_t stolen_before = shard_ ? shard_->leases_stolen() : 0;
+  const std::int64_t expired_before =
+      shard_ ? shard_->leases_expired_seen() : 0;
 
-  // Worker loop: lease a range with missing slots (stealing expired
-  // leases), compute its pending slots on the pool, journal each, mark the
-  // range done; when nothing is claimable, poll until the live leaseholder
-  // either finishes (its records appear in gather) or expires (we steal).
-  // Every worker exits this loop with the full payload set, so every
-  // worker applies — and prints — the complete canonical report.
+  // Compute phase, one slot range per round. Unsharded, the one round takes
+  // [0, count). A shard worker gathers peer checkpoints, leases a range with
+  // missing slots (stealing expired leases), and marks it done; when
+  // nothing is claimable it polls until the live leaseholder either
+  // finishes (its records appear in gather) or expires (we steal). Either
+  // way the loop ends with the full payload set, so every shard worker
+  // applies — and prints — the complete canonical report. Each computed
+  // payload is journaled before the barrier, so an interrupt (or crash)
+  // after that never loses it.
   std::int64_t executed = 0;
   while (!interrupted() && missing_count() > 0) {
-    {
-      obs::ProfileScope gather_scope(o ? o->profiler : nullptr,
-                                     obs::ProfilePhase::kShardGather);
-      shard_->gather_peers(stage, &payloads);
+    std::optional<shard::ShardContext::Acquired> range;
+    if (shard_) {
+      {
+        obs::ProfileScope gather_scope(o ? o->profiler : nullptr,
+                                       obs::ProfilePhase::kShardGather);
+        shard_->gather_peers(stage, &payloads);
+      }
+      if (missing_count() == 0) break;
+      range = shard_->acquire_range(stage, count, shard::shard_chunk(count),
+                                    payloads, journal_.get());
+      if (!range) {
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(shard_->options().poll_ms));
+        continue;
+      }
+      if (o && o->trace)
+        o->trace->instant(
+            "shard.lease", "shard",
+            obs::args_object(
+                {obs::arg_str("stage", stage),
+                 obs::arg_int("lo", static_cast<std::int64_t>(range->lo)),
+                 obs::arg_int("len", static_cast<std::int64_t>(range->hi -
+                                                               range->lo)),
+                 obs::arg_int("stolen", range->stolen ? 1 : 0)}));
+      shard_->start_heartbeat(*range);
     }
-    if (missing_count() == 0) break;
-    std::size_t live_leases = 0;
-    const auto range = shard_->acquire_range(stage, count, chunk, payloads,
-                                             journal_.get(), &live_leases);
-    if (!range) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(shard_->options().poll_ms));
-      continue;
-    }
-    if (o && o->trace)
-      o->trace->instant(
-          "shard.lease", "shard",
-          obs::args_object(
-              {obs::arg_str("stage", stage),
-               obs::arg_int("lo", static_cast<std::int64_t>(range->lo)),
-               obs::arg_int("len",
-                            static_cast<std::int64_t>(range->hi - range->lo)),
-               obs::arg_int("stolen", range->stolen ? 1 : 0)}));
 
     std::vector<std::size_t> pending;
-    for (std::uint64_t slot = range->lo; slot < range->hi; ++slot)
+    for (std::size_t slot = range ? range->lo : 0,
+                     hi = range ? range->hi : count;
+         slot < hi; ++slot)
       if (!payloads[slot]) pending.push_back(slot);
-
-    shard_->start_heartbeat(*range);
     exec::parallel_for_each(
         pending.size(),
         [&](std::size_t k) {
@@ -378,6 +294,13 @@ void Supervisor::shard_for_each_slot(
             payloads[slot].emplace(std::move(payload));
         },
         jobs);
+    bool complete = true;
+    for (const std::size_t slot : pending) {
+      if (payloads[slot]) ++executed;
+      else complete = false;
+    }
+    if (!range) break;
+
     shard_->stop_heartbeat();
     if (o && o->trace) {
       // The heartbeat thread only records wall-clock stamps (the sink is
@@ -389,12 +312,6 @@ void Supervisor::shard_for_each_slot(
                 {obs::arg_str("stage", stage),
                  obs::arg_int("lo", static_cast<std::int64_t>(range->lo))}));
     }
-
-    bool complete = true;
-    for (const std::size_t slot : pending) {
-      if (payloads[slot]) ++executed;
-      else complete = false;
-    }
     if (complete && !interrupted()) {
       shard_->complete_range(stage, *range, journal_.get());
       if (o && o->trace)
@@ -403,24 +320,27 @@ void Supervisor::shard_for_each_slot(
             obs::args_object(
                 {obs::arg_str("stage", stage),
                  obs::arg_int("lo", static_cast<std::int64_t>(range->lo)),
-                 obs::arg_int(
-                     "len", static_cast<std::int64_t>(range->hi - range->lo))}));
+                 obs::arg_int("len", static_cast<std::int64_t>(range->hi -
+                                                               range->lo))}));
     }
   }
 
-  // Apply phase: identical to the plain path — serial, global slot order,
-  // decoded payload bytes only.
+  // Apply phase (serial, global slot order): decoded state lands
+  // identically for every job count, worker count and interrupt/resume
+  // history.
   for (std::size_t i = 0; i < count; ++i)
     if (payloads[i]) apply(i, *payloads[i]);
 
-  const std::int64_t skipped =
-      static_cast<std::int64_t>(missing_count());
+  const std::int64_t skipped = missing_count();
   const std::int64_t replayed =
       static_cast<std::int64_t>(count) - executed - skipped;
   slots_replayed_.fetch_add(replayed);
   slots_executed_.fetch_add(executed);
   slots_skipped_.fetch_add(skipped);
 
+  // Observability from the driving thread only (the shard rules of
+  // docs/observability.md), into the caller's observer: per-stage counters
+  // plus a journal.stage instant; journal.interrupt marks a drained stop.
   if (o && o->metrics) {
     o->metrics->counter("recovery.slots.replayed").inc(replayed);
     o->metrics->counter("recovery.slots.executed").inc(executed);
@@ -431,12 +351,14 @@ void Supervisor::shard_for_each_slot(
         .inc(deadline_exceeded_.load() - deadline_before);
     o->metrics->counter("recovery.task.failures")
         .inc(failures_.load() - failures_before);
-    o->metrics->counter("shard.leases.claimed")
-        .inc(shard_->leases_claimed() - claimed_before);
-    o->metrics->counter("shard.leases.stolen")
-        .inc(shard_->leases_stolen() - stolen_before);
-    o->metrics->counter("shard.leases.expired")
-        .inc(shard_->leases_expired_seen() - expired_before);
+    if (shard_) {
+      o->metrics->counter("shard.leases.claimed")
+          .inc(shard_->leases_claimed() - claimed_before);
+      o->metrics->counter("shard.leases.stolen")
+          .inc(shard_->leases_stolen() - stolen_before);
+      o->metrics->counter("shard.leases.expired")
+          .inc(shard_->leases_expired_seen() - expired_before);
+    }
   }
   if (o && o->trace) {
     o->trace->instant("journal.stage", "recovery",
@@ -459,9 +381,9 @@ void supervised_sweep(
     const std::string& stage_name, std::size_t count,
     const std::function<std::string(std::size_t)>& compute,
     const std::function<void(std::size_t, const std::string&)>& apply,
-    int jobs) {
+    obs::Observer* observer, int jobs) {
   if (Supervisor* sup = current_for_sweep()) {
-    sup->for_each_slot(stage_name, count, compute, apply, jobs);
+    sup->for_each_slot(stage_name, count, compute, apply, observer, jobs);
     return;
   }
   std::vector<std::string> payloads(count);

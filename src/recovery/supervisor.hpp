@@ -25,6 +25,13 @@
 //     the tool exits with kExitInterrupted (75, EX_TEMPFAIL) after printing
 //     a resume hint.
 //
+// One slot loop serves plain and sharded runs: replay from the process's
+// own journal, then compute-and-journal rounds over slot ranges, then one
+// apply pass in slot order. Unsharded, the one round is [0, count); with a
+// ShardContext attached each round leases a range through the shard
+// directory (docs/robustness.md "Sharded execution"). The loop records its
+// counters and trace instants into the observer its caller passes in.
+//
 // Deadlines are enforced cooperatively (checked when the attempt returns):
 // slot functions are pure compute with simulator-level step/time watchdogs
 // of their own, so a true hang is already bounded below; killing threads
@@ -49,6 +56,10 @@
 #include <string_view>
 
 #include "recovery/journal.hpp"
+
+namespace sesp::obs {
+struct Observer;
+}  // namespace sesp::obs
 
 namespace sesp::shard {
 class ShardContext;
@@ -119,7 +130,6 @@ class Supervisor {
   // parameter; they consult current_for_sweep()). Install/uninstall from
   // the main thread only; returns the previous supervisor.
   static Supervisor* install(Supervisor* supervisor) noexcept;
-  static Supervisor* current() noexcept;
 
   RunJournal* journal() noexcept { return journal_.get(); }
   const TaskPolicy& policy() const noexcept { return policy_; }
@@ -152,29 +162,24 @@ class Supervisor {
   // order after the barrier. apply() always receives the encoded payload —
   // fresh or replayed, the driver decodes the same bytes. Slots skipped by
   // an interrupt get no apply; the caller checks interrupted() and treats
-  // the fold as partial.
+  // the fold as partial. The recovery.* (and, sharded, shard.*) counters,
+  // instants and profile scopes go to `observer`, which may be null; call
+  // from the thread that owns it.
   void for_each_slot(
       const std::string& stage_name, std::size_t count,
       const std::function<std::string(std::size_t)>& compute,
       const std::function<void(std::size_t, const std::string&)>& apply,
-      int jobs = 0);
+      obs::Observer* observer, int jobs = 0);
 
  private:
   std::string unique_stage(const std::string& name);
   std::string run_attempts(
       std::size_t slot,
       const std::function<std::string(std::size_t)>& compute);
-  // The leased-range worker loop behind for_each_slot() in shard mode;
-  // `stage` is already uniqued.
-  void shard_for_each_slot(
-      const std::string& stage, std::size_t count,
-      const std::function<std::string(std::size_t)>& compute,
-      const std::function<void(std::size_t, const std::string&)>& apply,
-      int jobs);
   // Journals one computed payload, degrading to journal-less execution on
-  // a write error (shared by the plain and shard compute phases). Returns
-  // false when the stop-after cap refuses the append: the caller drops the
-  // payload, and the slot stays pending for the resume.
+  // a write error. Returns false when the stop-after cap refuses the
+  // append: the caller drops the payload, and the slot stays pending for
+  // the resume.
   bool journal_payload(const std::string& stage, std::size_t slot,
                        const std::string& payload);
 
@@ -214,12 +219,13 @@ Supervisor* current_for_sweep() noexcept;
 // interrupt draining), and otherwise runs the same compute→payload→apply
 // round trip directly on the pool. Both paths fold the *decoded* payload in
 // slot order, so supervised, resumed and plain runs produce byte-identical
-// reports by construction.
+// reports by construction. `observer` is the caller's (parent) observer;
+// the supervisor records its counters and instants there.
 void supervised_sweep(
     const std::string& stage_name, std::size_t count,
     const std::function<std::string(std::size_t)>& compute,
     const std::function<void(std::size_t, const std::string&)>& apply,
-    int jobs = 0);
+    obs::Observer* observer, int jobs = 0);
 
 // True when a supervisor is installed and has been interrupted — the tools'
 // "skip the report, exit kExitInterrupted" check.

@@ -247,8 +247,7 @@ void ShardContext::gather_peers(
 std::optional<ShardContext::Acquired> ShardContext::acquire_range(
     const std::string& stage, std::uint64_t count, std::uint64_t chunk,
     const std::vector<std::optional<std::string>>& payloads,
-    recovery::RunJournal* journal, std::size_t* live_leases) {
-  if (live_leases) *live_leases = 0;
+    recovery::RunJournal* journal) {
   if (count == 0) return std::nullopt;
   const std::uint64_t ranges = (count + chunk - 1) / chunk;
   for (std::uint64_t r = 0; r < ranges; ++r) {
@@ -286,8 +285,8 @@ std::optional<ShardContext::Acquired> ShardContext::acquire_range(
         return out;
       }
     }
-    // Held by a live lease (or a racing claimer/stealer just beat us).
-    if (live_leases) ++*live_leases;
+    // Held by a live lease (or a racing claimer/stealer just beat us): try
+    // the next range.
   }
   return std::nullopt;
 }

@@ -90,11 +90,11 @@ class ShardContext {
   // payloads: an unclaimed range first, else an expired one (stealing).
   // Appends the matching lease record to *journal. nullopt when every
   // incomplete range is held by a live lease — the caller polls and
-  // re-gathers; *live_leases reports how many such ranges were seen.
+  // re-gathers.
   std::optional<Acquired> acquire_range(
       const std::string& stage, std::uint64_t count, std::uint64_t chunk,
       const std::vector<std::optional<std::string>>& payloads,
-      recovery::RunJournal* journal, std::size_t* live_leases);
+      recovery::RunJournal* journal);
 
   // Renews the claim's deadline every lease_ms / 3 until stop_heartbeat().
   void start_heartbeat(const Acquired& range);

@@ -43,7 +43,8 @@ void sweep(const std::string& stage, const std::string& span,
       [&](std::size_t i, const std::string& payload) {
         shards[i].merge_into_parent();
         apply(i, payload);
-      });
+      },
+      parent);
 }
 
 // The per-substrate half of every sweep: the simulator call, the process

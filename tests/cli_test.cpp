@@ -5,12 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "obs/json.hpp"
 
@@ -124,6 +126,20 @@ TEST(CliTest, UsageErrorsExitTwo) {
   EXPECT_EQ(
       run_command(kCli + " --check-certificate=/definitely/missing").status,
       2);
+  // A non-numeric or out-of-range integer flag prints the usage text, never
+  // an uncaught std::stoi exception.
+  for (const std::string command :
+       {kCli + " --n=abc", kCli + " --jobs=x", kCli + " --task-retries=x",
+        kCli + " --s=99999999999999999999", kConformance + " --cases=abc",
+        kConformance + " --workers=x", kAttack + " --n=abc",
+        kAttack + " --alg=too-few-steps:x"}) {
+    const auto r = run_command(command);
+    EXPECT_EQ(r.status, 2) << command << "\n" << r.output;
+    EXPECT_NE(r.output.find("bad value for --"), std::string::npos)
+        << command << "\n" << r.output;
+    EXPECT_NE(r.output.find("--journal=FILE"), std::string::npos)
+        << command << ": no usage text\n" << r.output;
+  }
 }
 
 // Invalid timing constants are usage errors — exit 2 with validate()'s
@@ -271,6 +287,75 @@ TEST(CliTest, ConformanceResumeMatchesUninterruptedRun) {
   EXPECT_EQ(mismatch.status, 2) << mismatch.output;
   EXPECT_NE(mismatch.output.find("different"), std::string::npos)
       << mismatch.output;
+  std::remove(journal.c_str());
+}
+
+// Checkpointed slots in `journal`, read through `sesp_cli
+// --journal-inspect --json`; -1 when the journal cannot be described.
+std::int64_t journal_records(const std::string& journal) {
+  const auto r = run_command(
+      stdout_only(kCli + " --journal-inspect=" + journal + " --json"));
+  const auto doc = obs::parse_json(r.output);
+  if (r.status != 0 || !doc || !doc->find("records")) return -1;
+  return doc->find("records")->as_int64();
+}
+
+// Kills `command --journal` at checkpoint N (SESP_STOP_AFTER=N: append
+// N + 1 is refused, as if the process died there) for every N in
+// `kill_points`, checks the journal holds exactly min(N, slots) records at
+// the kill, resumes once, and checks the resumed stdout is byte-identical
+// to an uninterrupted run's.
+void expect_kill_at_every_checkpoint(const std::string& command,
+                                     std::int64_t slots,
+                                     const std::vector<std::int64_t>&
+                                         kill_points) {
+  const std::string journal = ::testing::TempDir() + "/cli_every_n.journal";
+  const auto plain = run_command(stdout_only(command));
+  ASSERT_LE(plain.status, 1) << plain.output;
+  for (const std::int64_t n : kill_points) {
+    std::remove(journal.c_str());
+    const std::string at = "N=" + std::to_string(n);
+    const auto killed = run_command(
+        "SESP_STOP_AFTER=" + std::to_string(n) + " SESP_JOURNAL_FSYNC=0 " +
+        command + " --journal=" + journal);
+    EXPECT_EQ(killed.status, 75) << at << "\n" << killed.output;
+    EXPECT_EQ(journal_records(journal), std::min(n, slots)) << at;
+    const auto resumed = run_command(stdout_only(
+        "SESP_JOURNAL_FSYNC=0 " + command + " --resume=" + journal));
+    EXPECT_EQ(resumed.status, plain.status) << at << "\n" << resumed.output;
+    EXPECT_EQ(resumed.output, plain.output) << at;
+  }
+  std::remove(journal.c_str());
+}
+
+TEST(CliTest, DegradationGridResumesFromEveryCheckpoint) {
+  expect_kill_at_every_checkpoint(
+      kCli + " --substrate=mpm --model=semisync --s=2 --n=3 --degradation"
+             " --jobs=2",
+      9, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9});
+}
+
+TEST(CliTest, ConformanceCampaignResumesFromEveryCheckpoint) {
+  // 5 models x 2 cases on one substrate: 10 slots.
+  expect_kill_at_every_checkpoint(
+      kConformance + " --cases=2 --seed=3 --jobs=2 --no-minimize"
+                     " --substrate=smm",
+      10, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10});
+}
+
+// A campaign's supervisor reports into the caller's observer, so a
+// journaled campaign's --metrics carries the recovery.* counters that
+// docs/observability.md lists, like every other supervised sweep's.
+TEST(CliTest, ConformanceMetricsCarryRecoveryCounters) {
+  const std::string journal =
+      ::testing::TempDir() + "/conformance_metrics.journal";
+  std::remove(journal.c_str());
+  const auto r = run_command(stdout_only(
+      "SESP_JOURNAL_FSYNC=0 " + kConformance +
+      " --cases=2 --journal=" + journal + " --metrics"));
+  EXPECT_EQ(r.status, 0) << r.output;
+  EXPECT_NE(r.output.find("recovery.slots.executed"), std::string::npos)
+      << r.output;
   std::remove(journal.c_str());
 }
 

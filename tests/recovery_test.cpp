@@ -18,6 +18,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -33,9 +34,11 @@
 #include "algorithms/smm/async_alg.hpp"
 #include "algorithms/smm/semisync_alg.hpp"
 #include "conformance/harness.hpp"
+#include "obs/observer.hpp"
 #include "recovery/journal.hpp"
 #include "recovery/payload.hpp"
 #include "recovery/supervisor.hpp"
+#include "shard/shard.hpp"
 #include "sim/experiment.hpp"
 #include "support/test_support.hpp"
 
@@ -283,7 +286,7 @@ TEST(SupervisorTest, ReplayedSlotsNeverRecompute) {
     sup.for_each_slot(
         "stage", 6,
         [](std::size_t i) { return "value " + std::to_string(i); },
-        [](std::size_t, const std::string&) {}, 2);
+        [](std::size_t, const std::string&) {}, nullptr, 2);
     EXPECT_EQ(sup.stats().slots_executed, 6);
   }
   std::string error;
@@ -301,7 +304,7 @@ TEST(SupervisorTest, ReplayedSlotsNeverRecompute) {
       [&](std::size_t i, const std::string& payload) {
         applied[i] = payload;
       },
-      2);
+      nullptr, 2);
   const recovery::SupervisorStats stats = sup.stats();
   EXPECT_EQ(stats.slots_replayed, 6);
   EXPECT_EQ(stats.slots_executed, 0);
@@ -316,11 +319,11 @@ TEST(SupervisorTest, SameStageNameGetsDistinctJournalNamespaces) {
     recovery::Supervisor sup(fresh_journal(path, 3), {});
     sup.for_each_slot(
         "sweep", 2, [](std::size_t i) { return "first " + std::to_string(i); },
-        [](std::size_t, const std::string&) {}, 1);
+        [](std::size_t, const std::string&) {}, nullptr, 1);
     sup.for_each_slot(
         "sweep", 2,
         [](std::size_t i) { return "second " + std::to_string(i); },
-        [](std::size_t, const std::string&) {}, 1);
+        [](std::size_t, const std::string&) {}, nullptr, 1);
   }
   std::string error;
   auto journal = recovery::RunJournal::open_resume(path, &error);
@@ -330,11 +333,11 @@ TEST(SupervisorTest, SameStageNameGetsDistinctJournalNamespaces) {
   sup.for_each_slot(
       "sweep", 2,
       [](std::size_t) -> std::string { return "MISS"; },
-      [&](std::size_t i, const std::string& p) { first[i] = p; }, 1);
+      [&](std::size_t i, const std::string& p) { first[i] = p; }, nullptr, 1);
   sup.for_each_slot(
       "sweep", 2,
       [](std::size_t) -> std::string { return "MISS"; },
-      [&](std::size_t i, const std::string& p) { second[i] = p; }, 1);
+      [&](std::size_t i, const std::string& p) { second[i] = p; }, nullptr, 1);
   EXPECT_EQ(first[0], "first 0");
   EXPECT_EQ(first[1], "first 1");
   EXPECT_EQ(second[0], "second 0");
@@ -356,7 +359,7 @@ TEST(SupervisorTest, ThrowingSlotRetriesThenSucceeds) {
           throw std::runtime_error("first attempt fails");
         return "ok " + std::to_string(i);
       },
-      [&](std::size_t i, const std::string& p) { applied[i] = p; }, 2);
+      [&](std::size_t i, const std::string& p) { applied[i] = p; }, nullptr, 2);
   const recovery::SupervisorStats stats = sup.stats();
   EXPECT_EQ(stats.retries, 4);
   EXPECT_EQ(stats.failures, 0);
@@ -377,7 +380,7 @@ TEST(SupervisorTest, ExhaustedRetriesBecomeStructuredFailure) {
       [](std::size_t) -> std::string {
         throw std::runtime_error("always broken");
       },
-      [&](std::size_t, const std::string& p) { applied = p; }, 1);
+      [&](std::size_t, const std::string& p) { applied = p; }, nullptr, 1);
   const auto failure = recovery::decode_task_failure(applied);
   ASSERT_TRUE(failure.has_value());
   EXPECT_EQ(failure->kind, recovery::TaskFailure::Kind::kException);
@@ -401,7 +404,7 @@ TEST(SupervisorTest, DeadlineOverrunBecomesStructuredFailure) {
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
         return "finished anyway";
       },
-      [&](std::size_t, const std::string& p) { applied = p; }, 1);
+      [&](std::size_t, const std::string& p) { applied = p; }, nullptr, 1);
   const auto failure = recovery::decode_task_failure(applied);
   ASSERT_TRUE(failure.has_value());
   EXPECT_EQ(failure->kind, recovery::TaskFailure::Kind::kDeadline);
@@ -452,7 +455,8 @@ TEST(SupervisorTest, StopAfterSkipsPendingSlots) {
   sup.for_each_slot(
       "stage", 10,
       [](std::size_t i) { return std::to_string(i); },
-      [&](std::size_t i, const std::string&) { applied[i] = true; }, 1);
+      [&](std::size_t i, const std::string&) { applied[i] = true; },
+      nullptr, 1);
   EXPECT_TRUE(sup.interrupted());
   const recovery::SupervisorStats stats = sup.stats();
   EXPECT_EQ(stats.slots_executed, 3);
@@ -484,7 +488,7 @@ TEST(SupervisorTest, StopAfterIsAHardCapAtAnyJobCount) {
               std::this_thread::sleep_for(std::chrono::milliseconds(2));
               return std::to_string(i);
             },
-            [&](std::size_t, const std::string&) { ++applied; }, jobs);
+            [&](std::size_t, const std::string&) { ++applied; }, nullptr, jobs);
         EXPECT_TRUE(sup.interrupted());
         EXPECT_EQ(sup.stats().slots_executed, cap);
         EXPECT_EQ(sup.stats().slots_skipped, 32 - cap);
@@ -498,6 +502,239 @@ TEST(SupervisorTest, StopAfterIsAHardCapAtAnyJobCount) {
     }
   }
   std::remove(path.c_str());
+}
+
+// The supervised slot loop's observable footprint, pinned for one sweep run
+// five ways: plain, journaled, killed after three checkpoints and resumed,
+// and as a shard worker in a 1-worker and a 2-worker shard directory. An
+// observation is the applied payloads, every recovery.* / shard.* counter,
+// the non-zero profile phase counts and every trace instant's name,
+// category and args — no timestamps, and no shard.lease.renew, whose count
+// follows the wall clock. Slot 4 throws once and then succeeds; slot 5
+// always throws and folds as a TaskFailure. The values were recorded
+// before the plain and sharded loops became one.
+constexpr std::uint64_t kPinDigest = 5;
+
+std::vector<std::string> observe_pinned_sweep(recovery::Supervisor& sup) {
+  obs::MetricsRegistry metrics;
+  obs::TraceSink sink;
+  obs::Profiler profiler;
+  obs::Observer observer(&metrics, &sink);
+  observer.profiler = &profiler;
+  std::atomic<bool> slot4_failed{false};
+  std::string applied = "applied ";
+  sup.for_each_slot(
+      "pin", 6,
+      [&](std::size_t i) -> std::string {
+        if (i == 5) throw std::runtime_error("slot 5 always fails");
+        if (i == 4 && !slot4_failed.exchange(true))
+          throw std::runtime_error("slot 4 fails once");
+        return "v" + std::to_string(i);
+      },
+      [&](std::size_t i, const std::string& payload) {
+        applied += std::to_string(i) + "=" + payload.substr(0, 16) + ";";
+      },
+      &observer, 1);
+  std::vector<std::string> lines{applied};
+  for (const auto& [name, counter] : metrics.counters())
+    if (name.rfind("recovery.", 0) == 0 || name.rfind("shard.", 0) == 0)
+      lines.push_back(name + "=" + std::to_string(counter.value()));
+  for (int p = 0; p < obs::kProfilePhases; ++p) {
+    const auto phase = static_cast<obs::ProfilePhase>(p);
+    if (profiler.stat(phase).count > 0)
+      lines.push_back(std::string("profile ") +
+                      obs::profile_phase_name(phase) + "=" +
+                      std::to_string(profiler.stat(phase).count));
+  }
+  for (const obs::TraceEvent& e : sink.events())
+    if (e.name != "shard.lease.renew")
+      lines.push_back(e.name + " " + e.category + " " + e.args_json);
+  return lines;
+}
+
+recovery::TaskPolicy pin_policy() {
+  recovery::TaskPolicy policy;
+  policy.max_retries = 1;
+  policy.backoff_ms = 1;
+  return policy;
+}
+
+std::string pin_shard_dir(const std::string& name) {
+  const std::string dir = temp_path(name);
+  std::filesystem::remove_all(dir);
+  std::string error;
+  EXPECT_TRUE(shard::ensure_shard_dir(dir, &error) &&
+              shard::ensure_manifest(dir, "recovery_test", kPinDigest,
+                                     &error))
+      << error;
+  return dir;
+}
+
+// One shard-worker turn over `dir` (its journal created on the first turn,
+// resumed after); `stop_after` < 0 runs the turn to completion.
+std::vector<std::string> pinned_worker_turn(const std::string& dir,
+                                            int worker,
+                                            std::int64_t stop_after) {
+  const std::string path =
+      dir + "/worker-" + std::to_string(worker) + ".journal";
+  std::string error;
+  auto journal = std::filesystem::exists(path)
+                     ? recovery::RunJournal::open_resume(path, &error)
+                     : recovery::RunJournal::create(path, "recovery_test",
+                                                    kPinDigest, &error);
+  shard::ShardOptions sopt;
+  sopt.dir = dir;
+  sopt.worker_id = worker;
+  sopt.lease_ms = 600'000;  // no lease expires within the test
+  sopt.poll_ms = 5;
+  auto shard = shard::ShardContext::open(sopt, &error);
+  EXPECT_TRUE(journal && shard) << error;
+  if (!journal || !shard) return {};
+  journal->set_fsync(false);
+  recovery::Supervisor sup(std::move(journal), pin_policy());
+  sup.set_shard(shard.get());
+  sup.set_stop_after(stop_after);
+  return observe_pinned_sweep(sup);
+}
+
+TEST(SupervisorTest, SlotLoopObservationIsPinned) {
+  std::vector<std::vector<std::string>> got;
+  {
+    recovery::Supervisor sup(nullptr, pin_policy());
+    got.push_back(observe_pinned_sweep(sup));
+  }
+  const std::string path = temp_path("supervisor_pin.journal");
+  {
+    recovery::Supervisor sup(fresh_journal(path, kPinDigest), pin_policy());
+    got.push_back(observe_pinned_sweep(sup));
+  }
+  {
+    recovery::Supervisor sup(fresh_journal(path, kPinDigest), pin_policy());
+    sup.set_stop_after(3);
+    got.push_back(observe_pinned_sweep(sup));
+  }
+  {
+    std::string error;
+    auto journal = recovery::RunJournal::open_resume(path, &error);
+    ASSERT_NE(journal, nullptr) << error;
+    journal->set_fsync(false);
+    recovery::Supervisor sup(std::move(journal), pin_policy());
+    got.push_back(observe_pinned_sweep(sup));
+  }
+  std::remove(path.c_str());
+  const std::string one = pin_shard_dir("pin_shard1");
+  got.push_back(pinned_worker_turn(one, 0, -1));
+  const std::string two = pin_shard_dir("pin_shard2");
+  got.push_back(pinned_worker_turn(two, 0, 3));
+  got.push_back(pinned_worker_turn(two, 1, -1));
+  std::filesystem::remove_all(one);
+  std::filesystem::remove_all(two);
+
+  const std::vector<std::vector<std::string>> pins = {
+      // plain
+      {R"(applied 0=v0;1=v1;2=v2;3=v3;4=v4;5=__task_failure=1;)",
+       R"(recovery.slots.executed=6)",
+       R"(recovery.slots.replayed=0)",
+       R"(recovery.slots.skipped=0)",
+       R"(recovery.task.deadline_exceeded=0)",
+       R"(recovery.task.failures=1)",
+       R"(recovery.task.retries=2)",
+       R"(journal.stage recovery {"stage":"pin","replayed":0,"executed":6,"skipped":0})"},
+      // journaled
+      {R"(applied 0=v0;1=v1;2=v2;3=v3;4=v4;5=__task_failure=1;)",
+       R"(recovery.slots.executed=6)",
+       R"(recovery.slots.replayed=0)",
+       R"(recovery.slots.skipped=0)",
+       R"(recovery.task.deadline_exceeded=0)",
+       R"(recovery.task.failures=1)",
+       R"(recovery.task.retries=2)",
+       R"(journal.stage recovery {"stage":"pin","replayed":0,"executed":6,"skipped":0})"},
+      // killed after 3 checkpoints
+      {R"(applied 0=v0;1=v1;2=v2;)",
+       R"(recovery.slots.executed=3)",
+       R"(recovery.slots.replayed=0)",
+       R"(recovery.slots.skipped=3)",
+       R"(recovery.task.deadline_exceeded=0)",
+       R"(recovery.task.failures=0)",
+       R"(recovery.task.retries=0)",
+       R"(journal.stage recovery {"stage":"pin","replayed":0,"executed":3,"skipped":3})",
+       R"(journal.interrupt recovery {"stage":"pin"})"},
+      // resumed
+      {R"(applied 0=v0;1=v1;2=v2;3=v3;4=v4;5=__task_failure=1;)",
+       R"(recovery.slots.executed=3)",
+       R"(recovery.slots.replayed=3)",
+       R"(recovery.slots.skipped=0)",
+       R"(recovery.task.deadline_exceeded=0)",
+       R"(recovery.task.failures=1)",
+       R"(recovery.task.retries=2)",
+       R"(journal.stage recovery {"stage":"pin","replayed":3,"executed":3,"skipped":0})"},
+      // 1-worker shard
+      {R"(applied 0=v0;1=v1;2=v2;3=v3;4=v4;5=__task_failure=1;)",
+       R"(recovery.slots.executed=6)",
+       R"(recovery.slots.replayed=0)",
+       R"(recovery.slots.skipped=0)",
+       R"(recovery.task.deadline_exceeded=0)",
+       R"(recovery.task.failures=1)",
+       R"(recovery.task.retries=2)",
+       R"(shard.leases.claimed=6)",
+       R"(shard.leases.expired=0)",
+       R"(shard.leases.stolen=0)",
+       R"(profile shard.gather=6)",
+       R"(shard.lease shard {"stage":"pin","lo":0,"len":1,"stolen":0})",
+       R"(shard.range.done shard {"stage":"pin","lo":0,"len":1})",
+       R"(shard.lease shard {"stage":"pin","lo":1,"len":1,"stolen":0})",
+       R"(shard.range.done shard {"stage":"pin","lo":1,"len":1})",
+       R"(shard.lease shard {"stage":"pin","lo":2,"len":1,"stolen":0})",
+       R"(shard.range.done shard {"stage":"pin","lo":2,"len":1})",
+       R"(shard.lease shard {"stage":"pin","lo":3,"len":1,"stolen":0})",
+       R"(shard.range.done shard {"stage":"pin","lo":3,"len":1})",
+       R"(shard.lease shard {"stage":"pin","lo":4,"len":1,"stolen":0})",
+       R"(shard.range.done shard {"stage":"pin","lo":4,"len":1})",
+       R"(shard.lease shard {"stage":"pin","lo":5,"len":1,"stolen":0})",
+       R"(shard.range.done shard {"stage":"pin","lo":5,"len":1})",
+       R"(journal.stage recovery {"stage":"pin","replayed":0,"executed":6,"skipped":0})"},
+      // 2-worker shard, worker 0 killed after 3
+      {R"(applied 0=v0;1=v1;2=v2;)",
+       R"(recovery.slots.executed=3)",
+       R"(recovery.slots.replayed=0)",
+       R"(recovery.slots.skipped=3)",
+       R"(recovery.task.deadline_exceeded=0)",
+       R"(recovery.task.failures=0)",
+       R"(recovery.task.retries=0)",
+       R"(shard.leases.claimed=3)",
+       R"(shard.leases.expired=0)",
+       R"(shard.leases.stolen=0)",
+       R"(profile shard.gather=3)",
+       R"(shard.lease shard {"stage":"pin","lo":0,"len":1,"stolen":0})",
+       R"(shard.range.done shard {"stage":"pin","lo":0,"len":1})",
+       R"(shard.lease shard {"stage":"pin","lo":1,"len":1,"stolen":0})",
+       R"(shard.range.done shard {"stage":"pin","lo":1,"len":1})",
+       R"(shard.lease shard {"stage":"pin","lo":2,"len":1,"stolen":0})",
+       R"(journal.stage recovery {"stage":"pin","replayed":0,"executed":3,"skipped":3})",
+       R"(journal.interrupt recovery {"stage":"pin"})"},
+      // 2-worker shard, worker 1
+      {R"(applied 0=v0;1=v1;2=v2;3=v3;4=v4;5=__task_failure=1;)",
+       R"(recovery.slots.executed=3)",
+       R"(recovery.slots.replayed=3)",
+       R"(recovery.slots.skipped=0)",
+       R"(recovery.task.deadline_exceeded=0)",
+       R"(recovery.task.failures=1)",
+       R"(recovery.task.retries=2)",
+       R"(shard.leases.claimed=3)",
+       R"(shard.leases.expired=0)",
+       R"(shard.leases.stolen=0)",
+       R"(profile shard.gather=3)",
+       R"(shard.lease shard {"stage":"pin","lo":3,"len":1,"stolen":0})",
+       R"(shard.range.done shard {"stage":"pin","lo":3,"len":1})",
+       R"(shard.lease shard {"stage":"pin","lo":4,"len":1,"stolen":0})",
+       R"(shard.range.done shard {"stage":"pin","lo":4,"len":1})",
+       R"(shard.lease shard {"stage":"pin","lo":5,"len":1,"stolen":0})",
+       R"(shard.range.done shard {"stage":"pin","lo":5,"len":1})",
+       R"(journal.stage recovery {"stage":"pin","replayed":3,"executed":3,"skipped":0})"},
+  };
+  ASSERT_EQ(got.size(), pins.size());
+  for (std::size_t k = 0; k < pins.size(); ++k)
+    EXPECT_EQ(got[k], pins[k]) << "observation " << k;
 }
 
 // --- kill-and-resume determinism for every sweep driver ---------------------

@@ -837,64 +837,68 @@ TEST(ServerTest, ChaosInterruptThenResumeIsByteIdentical) {
   }
   fs::remove_all(ref_dir);
 
-  // Chaos: stop the sweep's supervisor after one journal append, which
-  // drains the server exactly as a SIGTERM would.
-  const fs::path dir = fresh_dir("sesp-serve-chaos");
-  std::string ticket_hex;
-  {
-    ServerConfig config;
-    config.journal_dir = dir.string();
-    config.chaos_stop_after = 1;
-    Server server(config);
-    std::string error;
-    ASSERT_TRUE(server.start(&error)) << error;
-    TestClient client(server.port());
-    ASSERT_TRUE(client.connected());
-    const auto submitted = client.call(sweep_req);
-    ASSERT_TRUE(submitted);
-    ticket_hex = submitted->find("result")->find("ticket")->string;
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (!server.draining() &&
-           std::chrono::steady_clock::now() < deadline)
-      std::this_thread::sleep_for(milliseconds(20));
-    EXPECT_TRUE(server.draining());
-    server.stop();
-    EXPECT_TRUE(server.interrupted());  // the tool's exit-75 signal
-    EXPECT_GE(server.counters().sweeps_interrupted.load(), 1);
-  }
-  // The chaos cap is hard: exactly one slot reached the journal, however
-  // many of the sweep's tasks were in flight on the pool when it tripped.
-  {
-    const recovery::JournalSnapshot snap = recovery::read_journal_snapshot(
-        (dir / ("sweep-" + ticket_hex + ".journal")).string());
-    ASSERT_TRUE(snap.ok) << snap.error;
-    std::size_t slots = 0;
-    for (const recovery::JournalRecord& r : snap.records)
-      if (r.stage.rfind("serve.", 0) != 0) ++slots;
-    EXPECT_EQ(slots, 1u);
-  }
+  // The sweep is the 9-cell degradation grid; kill it at checkpoints 0, 1
+  // and 4.
+  for (const std::int64_t n : {0, 1, 4}) {
+    // Chaos: stop the sweep's supervisor after n journal appends, which
+    // drains the server exactly as a SIGTERM would.
+    const fs::path dir = fresh_dir("sesp-serve-chaos");
+    std::string ticket_hex;
+    {
+      ServerConfig config;
+      config.journal_dir = dir.string();
+      config.chaos_stop_after = n;
+      Server server(config);
+      std::string error;
+      ASSERT_TRUE(server.start(&error)) << error;
+      TestClient client(server.port());
+      ASSERT_TRUE(client.connected());
+      const auto submitted = client.call(sweep_req);
+      ASSERT_TRUE(submitted);
+      ticket_hex = submitted->find("result")->find("ticket")->string;
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (!server.draining() &&
+             std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(milliseconds(20));
+      EXPECT_TRUE(server.draining());
+      server.stop();
+      EXPECT_TRUE(server.interrupted());  // the tool's exit-75 signal
+      EXPECT_GE(server.counters().sweeps_interrupted.load(), 1);
+    }
+    // The chaos cap is hard: exactly n slots reached the journal, however
+    // many of the sweep's tasks were in flight on the pool when it tripped.
+    {
+      const recovery::JournalSnapshot snap = recovery::read_journal_snapshot(
+          (dir / ("sweep-" + ticket_hex + ".journal")).string());
+      ASSERT_TRUE(snap.ok) << snap.error;
+      std::size_t slots = 0;
+      for (const recovery::JournalRecord& r : snap.records)
+        if (r.stage.rfind("serve.", 0) != 0) ++slots;
+      EXPECT_EQ(slots, static_cast<std::size_t>(n)) << "n=" << n;
+    }
 
-  // Resume: a fresh server re-enqueues the journaled sweep and finishes it;
-  // the report must be byte-identical to the uninterrupted reference.
-  {
-    ServerConfig config;
-    config.journal_dir = dir.string();
-    config.resume = true;
-    Server server(config);
-    std::string error;
-    ASSERT_TRUE(server.start(&error)) << error;
-    EXPECT_EQ(server.resumed_sweeps(), 1);
-    TestClient client(server.port());
-    ASSERT_TRUE(client.connected());
-    const auto report = wait_report(client, ticket_hex);
-    ASSERT_TRUE(report);
-    EXPECT_EQ(*report, reference);
-    server.stop();
-    EXPECT_EQ(server.counters().sweeps_completed.load(), 1);
-    EXPECT_FALSE(server.interrupted());
+    // Resume: a fresh server re-enqueues the journaled sweep and finishes it;
+    // the report must be byte-identical to the uninterrupted reference.
+    {
+      ServerConfig config;
+      config.journal_dir = dir.string();
+      config.resume = true;
+      Server server(config);
+      std::string error;
+      ASSERT_TRUE(server.start(&error)) << error;
+      EXPECT_EQ(server.resumed_sweeps(), 1);
+      TestClient client(server.port());
+      ASSERT_TRUE(client.connected());
+      const auto report = wait_report(client, ticket_hex);
+      ASSERT_TRUE(report);
+      EXPECT_EQ(*report, reference) << "n=" << n;
+      server.stop();
+      EXPECT_EQ(server.counters().sweeps_completed.load(), 1);
+      EXPECT_FALSE(server.interrupted());
+    }
+    fs::remove_all(dir);
   }
-  fs::remove_all(dir);
 }
 
 TEST(ServerTest, DrainShedsComputeButAnswersHealth) {

@@ -108,35 +108,12 @@ class RecoveryScope {
       journal = run_coordinator(opt, tool, config_digest, argc, argv);
       if (!journal && !interrupted_after_launch_) return;
     } else if (!opt.resume.empty()) {
-      std::string error;
-      journal = recovery::RunJournal::open_resume(opt.resume, &error);
-      if (!journal) {
-        std::cerr << "cannot resume from " << opt.resume << ": " << error
-                  << "\n";
-        error_ = true;
-        return;
-      }
-      if (!journal->matches(tool, config_digest)) {
-        report_mismatch(opt.resume, *journal, tool, config_digest);
-        error_ = true;
-        return;
-      }
-      std::cerr << "resuming from " << opt.resume << ": "
-                << journal->records() << " checkpointed slot(s)";
-      if (journal->dropped_on_load() > 0)
-        std::cerr << ", " << journal->dropped_on_load()
-                  << " torn record(s) dropped";
-      std::cerr << "\n";
+      journal = resume_journal(opt.resume, tool, config_digest,
+                               "resuming from " + opt.resume);
+      if (!journal) return;
     } else if (!opt.journal.empty()) {
-      std::string error;
-      journal = recovery::RunJournal::create(opt.journal, tool,
-                                             config_digest, &error);
-      if (!journal) {
-        std::cerr << "cannot create journal " << opt.journal << ": " << error
-                  << "\n";
-        error_ = true;
-        return;
-      }
+      journal = create_journal(opt.journal, tool, config_digest);
+      if (!journal) return;
     }
     supervisor_ =
         std::make_unique<recovery::Supervisor>(std::move(journal),
@@ -209,6 +186,45 @@ class RecoveryScope {
               << recovery::fnv1a_hex(config_digest) << ")\n";
   }
 
+  // Opens the journal at `path` for replay. An unreadable journal, or one
+  // written by another tool or configuration, is a usage error; otherwise
+  // stderr gets "<notice>: N checkpointed slot(s)" plus any torn records
+  // dropped.
+  std::unique_ptr<recovery::RunJournal> resume_journal(
+      const std::string& path, const std::string& tool,
+      std::uint64_t config_digest, const std::string& notice) {
+    std::string error;
+    auto journal = recovery::RunJournal::open_resume(path, &error);
+    if (!journal) {
+      std::cerr << "cannot resume from " << path << ": " << error << "\n";
+    } else if (!journal->matches(tool, config_digest)) {
+      report_mismatch(path, *journal, tool, config_digest);
+    } else {
+      std::cerr << notice << ": " << journal->records()
+                << " checkpointed slot(s)";
+      if (journal->dropped_on_load() > 0)
+        std::cerr << ", " << journal->dropped_on_load()
+                  << " torn record(s) dropped";
+      std::cerr << "\n";
+      return journal;
+    }
+    error_ = true;
+    return nullptr;
+  }
+
+  std::unique_ptr<recovery::RunJournal> create_journal(
+      const std::string& path, const std::string& tool,
+      std::uint64_t config_digest) {
+    std::string error;
+    auto journal =
+        recovery::RunJournal::create(path, tool, config_digest, &error);
+    if (!journal) {
+      std::cerr << "cannot create journal " << path << ": " << error << "\n";
+      error_ = true;
+    }
+    return journal;
+  }
+
   // Worker mode: journal into <dir>/worker-<id>.journal (created on the
   // first run, resumed across restarts) and attach a ShardContext.
   std::unique_ptr<recovery::RunJournal> open_worker(
@@ -224,35 +240,13 @@ class RecoveryScope {
     }
     const std::string path = opt.shard_dir + "/worker-" +
                              std::to_string(opt.worker_id) + ".journal";
-    std::unique_ptr<recovery::RunJournal> journal;
-    if (::access(path.c_str(), F_OK) == 0) {
-      journal = recovery::RunJournal::open_resume(path, &error);
-      if (!journal) {
-        std::cerr << "cannot resume from " << path << ": " << error << "\n";
-        error_ = true;
-        return nullptr;
-      }
-      if (!journal->matches(tool, config_digest)) {
-        report_mismatch(path, *journal, tool, config_digest);
-        error_ = true;
-        return nullptr;
-      }
-      std::cerr << "shard worker " << opt.worker_id << " resuming: "
-                << journal->records() << " checkpointed slot(s)";
-      if (journal->dropped_on_load() > 0)
-        std::cerr << ", " << journal->dropped_on_load()
-                  << " torn record(s) dropped";
-      std::cerr << "\n";
-    } else {
-      journal =
-          recovery::RunJournal::create(path, tool, config_digest, &error);
-      if (!journal) {
-        std::cerr << "cannot create journal " << path << ": " << error
-                  << "\n";
-        error_ = true;
-        return nullptr;
-      }
-    }
+    auto journal =
+        ::access(path.c_str(), F_OK) == 0
+            ? resume_journal(path, tool, config_digest,
+                             "shard worker " +
+                                 std::to_string(opt.worker_id) + " resuming")
+            : create_journal(path, tool, config_digest);
+    if (!journal) return nullptr;
     shard::ShardOptions sopt;
     sopt.dir = opt.shard_dir;
     sopt.worker_id = opt.worker_id;

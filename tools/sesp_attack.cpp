@@ -79,6 +79,11 @@ void usage(std::ostream& os) {
   ObservationOptions::usage(os);
 }
 
+std::int64_t alg_param(const std::string& alg) {
+  const std::size_t colon = alg.find(':');
+  return colon == std::string::npos ? 2 : std::stoll(alg.substr(colon + 1));
+}
+
 std::optional<Options> parse(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
@@ -87,45 +92,48 @@ std::optional<Options> parse(int argc, char** argv) {
     const std::string key = arg.substr(0, eq);
     const std::string value =
         eq == std::string::npos ? "" : arg.substr(eq + 1);
-    if (opt.obs.consume(key, value)) continue;
-    if (opt.recovery.consume(key, value)) continue;
-    if (key == "--construction") opt.construction = value;
-    else if (key == "--alg") opt.alg = value;
-    else if (key == "--out") opt.out = value;
-    else if (key == "--s") opt.spec.s = std::stoll(value);
-    else if (key == "--n") opt.spec.n = std::stoi(value);
-    else if (key == "--b") opt.spec.b = std::stoi(value);
-    else if (key == "--expect-survive") opt.expect_survive = true;
-    else if (key == "--jobs") {
-      const int jobs = std::stoi(value);
-      if (jobs < 1) {
-        std::cerr << "--jobs must be >= 1\n";
+    try {
+      if (opt.obs.consume(key, value)) continue;
+      if (opt.recovery.consume(key, value)) continue;
+      if (key == "--construction") opt.construction = value;
+      else if (key == "--alg") {
+        opt.alg = value;
+        alg_param(value);  // throws on a non-numeric too-few-steps:K
+      }
+      else if (key == "--out") opt.out = value;
+      else if (key == "--s") opt.spec.s = std::stoll(value);
+      else if (key == "--n") opt.spec.n = std::stoi(value);
+      else if (key == "--b") opt.spec.b = std::stoi(value);
+      else if (key == "--expect-survive") opt.expect_survive = true;
+      else if (key == "--jobs") {
+        const int jobs = std::stoi(value);
+        if (jobs < 1) {
+          std::cerr << "--jobs must be >= 1\n";
+          return std::nullopt;
+        }
+        exec::set_default_jobs(jobs);
+      }
+      else if (key == "--c1" || key == "--c2" || key == "--d1" ||
+               key == "--d2") {
+        const auto r = ratio_from_text(value);
+        if (!r) return std::nullopt;
+        if (key == "--c1") opt.c1 = *r;
+        if (key == "--c2") opt.c2 = *r;
+        if (key == "--d1") opt.d1 = *r;
+        if (key == "--d2") opt.d2 = *r;
+      } else if (key == "--help" || key == "-h") {
+        usage(std::cout);
+        std::exit(0);
+      } else {
+        std::cerr << "unknown option: " << key << "\n";
         return std::nullopt;
       }
-      exec::set_default_jobs(jobs);
-    }
-    else if (key == "--c1" || key == "--c2" || key == "--d1" ||
-             key == "--d2") {
-      const auto r = ratio_from_text(value);
-      if (!r) return std::nullopt;
-      if (key == "--c1") opt.c1 = *r;
-      if (key == "--c2") opt.c2 = *r;
-      if (key == "--d1") opt.d1 = *r;
-      if (key == "--d2") opt.d2 = *r;
-    } else if (key == "--help" || key == "-h") {
-      usage(std::cout);
-      std::exit(0);
-    } else {
-      std::cerr << "unknown option: " << key << "\n";
+    } catch (const std::exception&) {
+      std::cerr << "bad value for " << key << "\n";
       return std::nullopt;
     }
   }
   return opt;
-}
-
-std::int64_t alg_param(const std::string& alg) {
-  const std::size_t colon = alg.find(':');
-  return colon == std::string::npos ? 2 : std::stoll(alg.substr(colon + 1));
 }
 
 // Everything the tool reports about one attack, in journal-codec form: the
@@ -169,7 +177,8 @@ AttackOutcome run_supervised_attack(
       [&](std::size_t) { return encode_outcome(attack()); },
       [&](std::size_t, const std::string& payload) {
         outcome = decode_outcome(payload);
-      });
+      },
+      obs::default_observer());
   return outcome;
 }
 

@@ -108,62 +108,67 @@ std::optional<Options> parse(int argc, char** argv) {
     const std::string key = arg.substr(0, eq);
     const std::string value =
         eq == std::string::npos ? "" : arg.substr(eq + 1);
-    auto ratio = [&value]() { return ratio_from_text(value); };
-    // Bare --json (no =FILE) selects --journal-inspect's machine output;
-    // intercepted before the observability flags, which only define
-    // --json=FILE.
-    if (key == "--json" && eq == std::string::npos) {
-      opt.inspect_json = true;
-      continue;
-    }
-    if (opt.obs.consume(key, value)) continue;
-    if (opt.recovery.consume(key, value)) continue;
-    if (key == "--journal-inspect") opt.journal_inspect = value;
-    else if (key == "--substrate") opt.substrate = value;
-    else if (key == "--model") opt.model = value;
-    else if (key == "--adversary") opt.adversary = value;
-    else if (key == "--topology") opt.topology = value;
-    else if (key == "--faults") opt.faults = value;
-    else if (key == "--degradation") opt.degradation = true;
-    else if (key == "--dump-trace") opt.dump_trace = value;
-    else if (key == "--check-certificate") opt.check_certificate = value;
-    else if (key == "--s") opt.spec.s = std::stoll(value);
-    else if (key == "--n") {
-      opt.spec.n = std::stoi(value);
-      if (opt.spec.n < 1) {
-        std::cerr << "--n must be >= 1\n";
+    try {
+      auto ratio = [&value]() { return ratio_from_text(value); };
+      // Bare --json (no =FILE) selects --journal-inspect's machine output;
+      // intercepted before the observability flags, which only define
+      // --json=FILE.
+      if (key == "--json" && eq == std::string::npos) {
+        opt.inspect_json = true;
+        continue;
+      }
+      if (opt.obs.consume(key, value)) continue;
+      if (opt.recovery.consume(key, value)) continue;
+      if (key == "--journal-inspect") opt.journal_inspect = value;
+      else if (key == "--substrate") opt.substrate = value;
+      else if (key == "--model") opt.model = value;
+      else if (key == "--adversary") opt.adversary = value;
+      else if (key == "--topology") opt.topology = value;
+      else if (key == "--faults") opt.faults = value;
+      else if (key == "--degradation") opt.degradation = true;
+      else if (key == "--dump-trace") opt.dump_trace = value;
+      else if (key == "--check-certificate") opt.check_certificate = value;
+      else if (key == "--s") opt.spec.s = std::stoll(value);
+      else if (key == "--n") {
+        opt.spec.n = std::stoi(value);
+        if (opt.spec.n < 1) {
+          std::cerr << "--n must be >= 1\n";
+          return std::nullopt;
+        }
+      }
+      else if (key == "--b") opt.spec.b = std::stoi(value);
+      else if (key == "--seed") opt.seed = std::stoull(value);
+      else if (key == "--jobs") {
+        const int jobs = std::stoi(value);
+        if (jobs < 1) {
+          std::cerr << "--jobs must be >= 1\n";
+          return std::nullopt;
+        }
+        exec::set_default_jobs(jobs);
+      }
+      else if (key == "--print-trace") opt.print_trace = true;
+      else if (key == "--timeline") opt.timeline = true;
+      else if (key == "--stats") opt.stats = true;
+      else if (key == "--c1" || key == "--c2" || key == "--d1" ||
+               key == "--d2") {
+        const auto r = ratio();
+        if (!r) {
+          std::cerr << "bad rational for " << key << "\n";
+          return std::nullopt;
+        }
+        if (key == "--c1") opt.c1 = *r;
+        if (key == "--c2") opt.c2 = *r;
+        if (key == "--d1") opt.d1 = *r;
+        if (key == "--d2") opt.d2 = *r;
+      } else if (key == "--help" || key == "-h") {
+        usage(std::cout);
+        std::exit(0);
+      } else {
+        std::cerr << "unknown option: " << key << "\n";
         return std::nullopt;
       }
-    }
-    else if (key == "--b") opt.spec.b = std::stoi(value);
-    else if (key == "--seed") opt.seed = std::stoull(value);
-    else if (key == "--jobs") {
-      const int jobs = std::stoi(value);
-      if (jobs < 1) {
-        std::cerr << "--jobs must be >= 1\n";
-        return std::nullopt;
-      }
-      exec::set_default_jobs(jobs);
-    }
-    else if (key == "--print-trace") opt.print_trace = true;
-    else if (key == "--timeline") opt.timeline = true;
-    else if (key == "--stats") opt.stats = true;
-    else if (key == "--c1" || key == "--c2" || key == "--d1" ||
-             key == "--d2") {
-      const auto r = ratio();
-      if (!r) {
-        std::cerr << "bad rational for " << key << "\n";
-        return std::nullopt;
-      }
-      if (key == "--c1") opt.c1 = *r;
-      if (key == "--c2") opt.c2 = *r;
-      if (key == "--d1") opt.d1 = *r;
-      if (key == "--d2") opt.d2 = *r;
-    } else if (key == "--help" || key == "-h") {
-      usage(std::cout);
-      std::exit(0);
-    } else {
-      std::cerr << "unknown option: " << key << "\n";
+    } catch (const std::exception&) {
+      std::cerr << "bad value for " << key << "\n";
       return std::nullopt;
     }
   }

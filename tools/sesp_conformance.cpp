@@ -211,54 +211,60 @@ int run(int argc, char** argv) {
     const std::string key = arg.substr(0, eq);
     const std::string value =
         eq == std::string::npos ? std::string() : arg.substr(eq + 1);
-    if (opt.obs.consume(key, value)) continue;
-    if (opt.recovery.consume(key, value)) continue;
-    if (key == "--help" || key == "-h") {
-      usage(std::cout);
-      return 0;
-    } else if (key == "--quick") {
-      opt.config.cases_per_cell = 500;
-    } else if (key == "--deep") {
-      opt.config.cases_per_cell = 5000;
-    } else if (key == "--cases") {
-      opt.config.cases_per_cell = std::stoll(value);
-    } else if (key == "--seed") {
-      opt.config.seed = std::stoull(value);
-    } else if (key == "--jobs") {
-      opt.config.jobs = std::stoi(value);
-    } else if (key == "--minimize") {
-      opt.config.minimize = true;
-    } else if (key == "--no-minimize") {
-      opt.config.minimize = false;
-    } else if (key == "--algorithm") {
-      opt.config.algorithm_override = value;
-    } else if (key == "--model") {
-      const auto model = parse_model(value);
-      if (!model) {
-        std::cerr << "unknown model: " << value << "\n";
+    try {
+      if (opt.obs.consume(key, value)) continue;
+      if (opt.recovery.consume(key, value)) continue;
+      if (key == "--help" || key == "-h") {
+        usage(std::cout);
+        return 0;
+      } else if (key == "--quick") {
+        opt.config.cases_per_cell = 500;
+      } else if (key == "--deep") {
+        opt.config.cases_per_cell = 5000;
+      } else if (key == "--cases") {
+        opt.config.cases_per_cell = std::stoll(value);
+      } else if (key == "--seed") {
+        opt.config.seed = std::stoull(value);
+      } else if (key == "--jobs") {
+        opt.config.jobs = std::stoi(value);
+      } else if (key == "--minimize") {
+        opt.config.minimize = true;
+      } else if (key == "--no-minimize") {
+        opt.config.minimize = false;
+      } else if (key == "--algorithm") {
+        opt.config.algorithm_override = value;
+      } else if (key == "--model") {
+        const auto model = parse_model(value);
+        if (!model) {
+          std::cerr << "unknown model: " << value << "\n";
+          return 2;
+        }
+        opt.config.models = {*model};
+        explicit_model = true;
+      } else if (key == "--substrate") {
+        if (value == "smm")
+          opt.config.substrates = {Substrate::kSharedMemory};
+        else if (value == "mpm")
+          opt.config.substrates = {Substrate::kMessagePassing};
+        else {
+          std::cerr << "unknown substrate: " << value << "\n";
+          return 2;
+        }
+      } else if (key == "--witness-dir") {
+        opt.witness_dir = value;
+      } else if (key == "--replay") {
+        opt.replay_file = value;
+      } else if (key == "--self-test") {
+        opt.self_test = true;
+      } else if (key == "--emit-golden") {
+        opt.emit_golden = value;
+      } else {
+        std::cerr << "unknown option: " << arg << "\n";
+        usage(std::cerr);
         return 2;
       }
-      opt.config.models = {*model};
-      explicit_model = true;
-    } else if (key == "--substrate") {
-      if (value == "smm")
-        opt.config.substrates = {Substrate::kSharedMemory};
-      else if (value == "mpm")
-        opt.config.substrates = {Substrate::kMessagePassing};
-      else {
-        std::cerr << "unknown substrate: " << value << "\n";
-        return 2;
-      }
-    } else if (key == "--witness-dir") {
-      opt.witness_dir = value;
-    } else if (key == "--replay") {
-      opt.replay_file = value;
-    } else if (key == "--self-test") {
-      opt.self_test = true;
-    } else if (key == "--emit-golden") {
-      opt.emit_golden = value;
-    } else {
-      std::cerr << "unknown option: " << arg << "\n";
+    } catch (const std::exception&) {
+      std::cerr << "bad value for " << key << "\n";
       usage(std::cerr);
       return 2;
     }

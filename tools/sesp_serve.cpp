@@ -55,8 +55,7 @@ void usage(std::ostream& os) {
         "  --retry-after-ms=N           Overloaded retry hint\n"
         "  --write-timeout-ms=N         slow-client reply write budget\n"
         "  --idle-timeout-ms=N          silent-connection timeout\n"
-        "  --cache-capacity=N           bound-result LRU entries\n"
-        "  --test-heavy-delay-ms=N      artificial job delay (tests only)\n";
+        "  --cache-capacity=N           bound-result LRU entries\n";
   sesp::ObservationOptions::usage(os);
 }
 
@@ -98,8 +97,6 @@ std::optional<Options> parse(int argc, char** argv) {
       else if (key == "--cache-capacity")
         opt.server.admission.cache_capacity =
             static_cast<std::size_t>(std::stoull(value));
-      else if (key == "--test-heavy-delay-ms")
-        opt.server.admission.test_heavy_delay_ms = std::stoll(value);
       else if (key == "--help" || key == "-h") {
         usage(std::cout);
         std::exit(0);
